@@ -204,11 +204,29 @@ impl Bitmask2D {
         out
     }
 
+    /// Columns of the set bits in row `r`, ascending, read a word at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `r >= rows`.
+    pub fn row_ones(&self, r: usize) -> impl Iterator<Item = usize> + '_ {
+        assert!(r < self.rows, "row out of bounds");
+        let words = &self.words[r * self.words_per_row..(r + 1) * self.words_per_row];
+        words.iter().enumerate().flat_map(|(i, &word)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as usize;
+                    rest &= rest - 1;
+                    i * 64 + bit
+                })
+            })
+        })
+    }
+
     /// Iterator over the set-bit coordinates, row-major.
     pub fn iter_ones(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        (0..self.rows).flat_map(move |r| {
-            (0..self.cols).filter_map(move |c| if self.get(r, c) { Some((r, c)) } else { None })
-        })
+        (0..self.rows).flat_map(move |r| self.row_ones(r).map(move |c| (r, c)))
     }
 }
 
@@ -305,6 +323,16 @@ mod tests {
         let m = Bitmask2D::from_fn(2, 2, |r, c| r == c);
         let ones: Vec<_> = m.iter_ones().collect();
         assert_eq!(ones, vec![(0, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn row_ones_walks_set_bits_across_words() {
+        let m = Bitmask2D::from_fn(5, 130, |r, c| (r * 31 + c * 7) % 5 == 0 || c == 129);
+        for r in 0..5 {
+            let want: Vec<usize> = (0..130).filter(|&c| m.get(r, c)).collect();
+            assert_eq!(m.row_ones(r).collect::<Vec<_>>(), want, "row {r}");
+        }
+        assert_eq!(Bitmask2D::zeros(1, 70).row_ones(0).count(), 0);
     }
 
     #[test]

@@ -223,6 +223,90 @@ impl LogScores {
     }
 }
 
+/// The log-domain image of a `rows × cols` integer matrix, row-major, made
+/// once per element: the EPRE applies LOD to each operand as it enters the
+/// LD_DPU, not once per product.
+struct LogImage {
+    /// One-hot magnitude `2^e1 | 2^e2`; 0 for a zero element.
+    mask: Vec<u64>,
+    /// All ones for a negative element, 0 otherwise.
+    neg: Vec<i64>,
+    /// Exponent pair `(e1, e2)`, with `e2 = e1` when there is no second one.
+    shift: Vec<(u32, u32)>,
+}
+
+impl LogImage {
+    fn new(rows: usize, cols: usize, value: impl Fn(usize, usize) -> i32, mode: LodMode) -> Self {
+        let n = rows * cols;
+        let mut image = Self {
+            mask: Vec::with_capacity(n),
+            neg: Vec::with_capacity(n),
+            shift: Vec::with_capacity(n),
+        };
+        for r in 0..rows {
+            for c in 0..cols {
+                let op = LogOperand::from_int(value(r, c), mode);
+                let e1 = op.e1.map_or(0, u32::from);
+                let e2 = op.e2.map_or(e1, u32::from);
+                image
+                    .mask
+                    .push(op.e1.map_or(0, |_| (1u64 << e1) | (1u64 << e2)));
+                image.neg.push(if op.sign < 0 { -1 } else { 0 });
+                image.shift.push((e1, e2));
+            }
+        }
+        image
+    }
+}
+
+/// `a · b` over log images, `a` being `rows × inner` and `b` being
+/// `inner × cols`. Equals a [`log_dot`] per output element.
+///
+/// The one-hot terms of a product are `2^(ea + eb)` over both operands'
+/// exponents, so their OR is `(mb << ea1) | (mb << ea2)` and their exact
+/// sum is `ma · mb`. A sign flip is `(x ^ neg) - neg`, and a zero operand
+/// has a zero mask. Products accumulate exactly, so the i-p-j loop order
+/// changes no result.
+fn log_product(
+    a: &LogImage,
+    b: &LogImage,
+    rows: usize,
+    inner: usize,
+    cols: usize,
+    accum: AccumMode,
+) -> LogScores {
+    let mut data = vec![0i64; rows * cols];
+    // `max(1)`: with no columns there is no data and so no chunk.
+    for (i, out) in data.chunks_exact_mut(cols.max(1)).enumerate() {
+        for p in 0..inner {
+            let ia = i * inner + p;
+            let ma = a.mask[ia];
+            if ma == 0 {
+                continue;
+            }
+            let na = a.neg[ia];
+            let b_mask = &b.mask[p * cols..(p + 1) * cols];
+            let b_neg = &b.neg[p * cols..(p + 1) * cols];
+            match accum {
+                AccumMode::OneHotOrTree => {
+                    let (e1, e2) = a.shift[ia];
+                    for ((acc, &mb), &nb) in out.iter_mut().zip(b_mask).zip(b_neg) {
+                        let neg = na ^ nb;
+                        *acc += (((mb << e1) | (mb << e2)) as i64 ^ neg) - neg;
+                    }
+                }
+                AccumMode::Exact => {
+                    for ((acc, &mb), &nb) in out.iter_mut().zip(b_mask).zip(b_neg) {
+                        let neg = na ^ nb;
+                        *acc += ((ma * mb) as i64 ^ neg) - neg;
+                    }
+                }
+            }
+        }
+    }
+    LogScores { rows, cols, data }
+}
+
 /// Log-domain `A · Bᵀ` over quantized matrices — the EPRE's predicted
 /// attention score `Q'·K'ᵀ` (both operands stored row-major, `b` holding Kᵀ
 /// rows as key vectors).
@@ -243,15 +327,12 @@ pub fn log_matmul_transpose_b(
         a.shape(),
         b.shape()
     );
-    let rows = a.rows();
+    let (rows, inner) = a.shape();
     let cols = b.rows();
-    let mut data = Vec::with_capacity(rows * cols);
-    for i in 0..rows {
-        for j in 0..cols {
-            data.push(log_dot(a.row(i), b.row(j), mode, accum));
-        }
-    }
-    LogScores { rows, cols, data }
+    let (av, bv) = (a.as_slice(), b.as_slice());
+    let la = LogImage::new(rows, inner, |r, c| av[r * inner + c], mode);
+    let lb = LogImage::new(inner, cols, |p, j| bv[j * inner + p], mode);
+    log_product(&la, &lb, rows, inner, cols, accum)
 }
 
 /// Log-domain `A · B` (for log-domain Q/K projection prediction).
@@ -267,25 +348,41 @@ pub fn log_matmul(a: &QuantMatrix, b: &QuantMatrix, mode: LodMode, accum: AccumM
         a.shape(),
         b.shape()
     );
-    let rows = a.rows();
+    let (rows, inner) = a.shape();
     let cols = b.cols();
-    let mut data = Vec::with_capacity(rows * cols);
-    let b_cols: Vec<Vec<i32>> = (0..cols)
-        .map(|j| (0..b.rows()).map(|p| b.get(p, j)).collect())
-        .collect();
-    for i in 0..rows {
-        for col in &b_cols {
-            data.push(log_dot(a.row(i), col, mode, accum));
-        }
-    }
-    LogScores { rows, cols, data }
+    let (av, bv) = (a.as_slice(), b.as_slice());
+    let la = LogImage::new(rows, inner, |r, c| av[r * inner + c], mode);
+    let lb = LogImage::new(inner, cols, |p, j| bv[p * cols + j], mode);
+    log_product(&la, &lb, rows, inner, cols, accum)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use exion_tensor::rng::seeded_uniform;
-    use exion_tensor::{IntWidth, Matrix};
+    use exion_tensor::{IntWidth, Matrix, QuantParams};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// An INT12 matrix whose elements are the extremes 0, ±1 and ±2047 about
+    /// half the time and uniform INT12 values otherwise.
+    fn int12_matrix(rows: usize, cols: usize, rng: &mut StdRng) -> QuantMatrix {
+        const EXTREMES: [i32; 5] = [0, 1, -1, 2047, -2047];
+        let data = (0..rows * cols)
+            .map(|_| {
+                if rng.random_range(0..2u32) == 0 {
+                    EXTREMES[rng.random_range(0..EXTREMES.len())]
+                } else {
+                    rng.random_range(-2047..2048)
+                }
+            })
+            .collect();
+        let params = QuantParams {
+            scale: 1.0,
+            width: IntWidth::Int12,
+        };
+        QuantMatrix::from_parts(rows, cols, data, params)
+    }
 
     #[test]
     fn lod_positions() {
@@ -425,6 +522,54 @@ mod tests {
             err_two < err_single,
             "two-step {err_two} vs single {err_single}"
         );
+    }
+
+    #[test]
+    fn log_matmul_kernels_equal_a_log_dot_per_element() {
+        let mut rng = StdRng::seed_from_u64(0x10D);
+        // Width-1 and empty operands, then random shapes.
+        let mut shapes = vec![
+            (1, 1, 1),
+            (1, 9, 1),
+            (6, 1, 5),
+            (4, 7, 1),
+            (1, 5, 8),
+            (0, 3, 2),
+            (2, 3, 0),
+            (2, 0, 3),
+        ];
+        shapes.extend((0..12).map(|_| {
+            (
+                rng.random_range(1..20),
+                rng.random_range(1..40),
+                rng.random_range(1..20),
+            )
+        }));
+        for (m, k, n) in shapes {
+            let a = int12_matrix(m, k, &mut rng);
+            let b = int12_matrix(k, n, &mut rng);
+            let bt = int12_matrix(n, k, &mut rng);
+            for mode in [LodMode::Single, LodMode::TwoStep] {
+                for accum in [AccumMode::Exact, AccumMode::OneHotOrTree] {
+                    let s = log_matmul(&a, &b, mode, accum);
+                    let st = log_matmul_transpose_b(&a, &bt, mode, accum);
+                    assert_eq!((s.rows(), s.cols()), (m, n));
+                    assert_eq!((st.rows(), st.cols()), (m, n));
+                    for i in 0..m {
+                        for j in 0..n {
+                            let col: Vec<i32> = (0..k).map(|p| b.get(p, j)).collect();
+                            let case = format!("{m}x{k}x{n} {mode:?}/{accum:?} at ({i}, {j})");
+                            assert_eq!(s.get(i, j), log_dot(a.row(i), &col, mode, accum), "{case}");
+                            assert_eq!(
+                                st.get(i, j),
+                                log_dot(a.row(i), bt.row(j), mode, accum),
+                                "transposed {case}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

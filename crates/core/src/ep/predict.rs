@@ -103,10 +103,20 @@ impl AttentionPlan {
         let mut keep = Bitmask2D::zeros(rows, cols);
         let mut one_hot = vec![None; rows];
         let mut col_used = vec![false; cols];
+        if cols == 0 {
+            // No keys, nothing to keep: the empty plan.
+            return Self {
+                keep,
+                one_hot,
+                col_used,
+                stats: EpStats::default(),
+            };
+        }
         // The epsilon guards against f32→f64 artifacts (0.8f32 as f64 is
         // slightly above 0.8, which would bump the ceil).
         let keep_per_row =
             (((cols as f64 * config.top_k_ratio as f64) - 1e-6).ceil() as usize).clamp(1, cols);
+        let mut order = Vec::with_capacity(cols);
 
         #[allow(clippy::needless_range_loop)] // r indexes scores, one_hot and keep together
         for r in 0..rows {
@@ -120,7 +130,7 @@ impl AttentionPlan {
                 col_used[arg_max] = true;
                 continue;
             }
-            for c in top_k_indices(row, keep_per_row) {
+            for &c in top_k_indices(row, keep_per_row, &mut order) {
                 keep.set(r, c, true);
                 col_used[c] = true;
             }
@@ -142,11 +152,7 @@ impl AttentionPlan {
             } else {
                 one_hot_rows as f64 / rows as f64
             },
-            kv_skip_fraction: if cols == 0 {
-                0.0
-            } else {
-                1.0 - used_cols as f64 / cols as f64
-            },
+            kv_skip_fraction: 1.0 - used_cols as f64 / cols as f64,
         };
         Self {
             keep,
@@ -278,12 +284,16 @@ fn max_and_runner_up(row: &[i64]) -> (usize, i64, i64) {
     (arg, max, second)
 }
 
-/// Indices of the `k` largest entries (ties broken by lower index).
-fn top_k_indices(row: &[i64], k: usize) -> Vec<usize> {
-    let mut idx: Vec<usize> = (0..row.len()).collect();
-    idx.sort_by(|&a, &b| row[b].cmp(&row[a]).then(a.cmp(&b)));
-    idx.truncate(k);
-    idx
+/// Indices of the `k <= row.len()` largest entries (ties broken by lower
+/// index), in no particular order. `order` is scratch space reused across
+/// rows.
+fn top_k_indices<'a>(row: &[i64], k: usize, order: &'a mut Vec<usize>) -> &'a [usize] {
+    order.clear();
+    order.extend(0..row.len());
+    if k < row.len() {
+        order.select_nth_unstable_by(k, |&a, &b| row[b].cmp(&row[a]).then(a.cmp(&b)));
+    }
+    &order[..k]
 }
 
 #[cfg(test)]
@@ -291,6 +301,8 @@ mod tests {
     use super::*;
     use exion_tensor::rng::seeded_uniform;
     use exion_tensor::{stats, IntWidth};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
 
     fn quantize(m: &Matrix) -> QuantMatrix {
         QuantMatrix::quantize(m, IntWidth::Int12)
@@ -442,9 +454,61 @@ mod tests {
         assert_eq!(max_and_runner_up(&[-5, -2]), (1, -2, -5));
     }
 
+    /// The selected index set, ascending.
+    fn top_k_set(row: &[i64], k: usize) -> Vec<usize> {
+        let mut order = Vec::new();
+        let mut set = top_k_indices(row, k, &mut order).to_vec();
+        set.sort_unstable();
+        set
+    }
+
+    /// Full-sort reference: the first `k` indices under (score descending,
+    /// index ascending), as an ascending set.
+    fn top_k_by_sort(row: &[i64], k: usize) -> Vec<usize> {
+        let mut idx: Vec<usize> = (0..row.len()).collect();
+        idx.sort_by(|&a, &b| row[b].cmp(&row[a]).then(a.cmp(&b)));
+        idx.truncate(k);
+        idx.sort_unstable();
+        idx
+    }
+
     #[test]
     fn helper_top_k() {
-        assert_eq!(top_k_indices(&[5, 1, 9, 7], 2), vec![2, 3]);
-        assert_eq!(top_k_indices(&[1, 1, 1], 2), vec![0, 1]);
+        assert_eq!(top_k_set(&[5, 1, 9, 7], 2), vec![2, 3]);
+        assert_eq!(top_k_set(&[1, 1, 1], 2), vec![0, 1]);
+    }
+
+    #[test]
+    fn selection_top_k_matches_the_full_sort_with_ties() {
+        let mut rng = StdRng::seed_from_u64(0x70B);
+        for _ in 0..200 {
+            let len = rng.random_range(1..48);
+            // Few distinct values, so most rows carry ties at the cut.
+            let levels = rng.random_range(1..6i64);
+            let row: Vec<i64> = (0..len)
+                .map(|_| rng.random_range(-levels..levels + 1))
+                .collect();
+            for k in 1..=len {
+                assert_eq!(
+                    top_k_set(&row, k),
+                    top_k_by_sort(&row, k),
+                    "row {row:?}, k {k}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn predict_without_keys_returns_the_empty_plan() {
+        let q = quantize(&seeded_uniform(3, 4, -1.0, 1.0, 13));
+        let k = QuantMatrix::from_parts(0, 4, Vec::new(), q.params());
+        let plan = AttentionPlan::predict(&q, &k, 1.0, &EpConfig::default());
+        assert_eq!(plan.keep().shape(), (3, 0));
+        assert_eq!(plan.one_hot(), &[None; 3]);
+        assert!(plan.col_used().is_empty());
+        assert_eq!(plan.stats(), EpStats::default());
+        let v = Matrix::zeros(0, 2);
+        let out = execute_sparse_attention(&q.dequantize(), &k.dequantize(), &v, &plan, 0.5);
+        assert_eq!(out.out, Matrix::zeros(3, 2));
     }
 }

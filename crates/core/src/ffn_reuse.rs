@@ -22,7 +22,7 @@
 //! implements that calibration as a quantile of the dense activation
 //! magnitudes.
 
-use exion_tensor::{ops, Activation, Matrix};
+use exion_tensor::{activation, ops, Activation, Matrix};
 use serde::{Deserialize, Serialize};
 
 use crate::bitmask::Bitmask2D;
@@ -110,20 +110,41 @@ impl FfnWeights {
         ops::add_bias(&ops::matmul(&self.hidden_dense(x), &self.w2), &self.b2)
     }
 
-    /// Recomputes the activation output at a single `(row, col)` position of
-    /// the hidden matrix (col indexes the *activation output*).
-    fn hidden_at(&self, x: &Matrix, r: usize, c: usize) -> f32 {
+    /// Recomputes the activation outputs of one token row `x_row` at the
+    /// ascending activation-output columns `cols`, into `out`.
+    ///
+    /// `w1` is swept row by row over the wanted columns (and, for GEGLU,
+    /// their gate partners), never gathered by column. Each accumulator
+    /// starts from `-0.0`, the value `f32: Sum` starts from, and adds the
+    /// products in `ops::dot`'s order, so every pre-activation equals
+    /// `ops::dot(x_row, &w1.col(c))` bit for bit. `pre` is scratch space.
+    fn hidden_row_at(&self, x_row: &[f32], cols: &[usize], pre: &mut Vec<f32>, out: &mut Vec<f32>) {
+        let half = self.d_ff() / 2;
+        let gated = self.activation == Activation::Geglu;
+        pre.clear();
+        pre.resize(if gated { 2 * cols.len() } else { cols.len() }, -0.0);
+        let (left, right) = pre.split_at_mut(cols.len());
+        for (p, &xv) in x_row.iter().enumerate() {
+            let w_row = self.w1.row(p);
+            for (acc, &c) in left.iter_mut().zip(cols) {
+                *acc += xv * w_row[c];
+            }
+            for (acc, &c) in right.iter_mut().zip(cols) {
+                *acc += xv * w_row[half + c];
+            }
+        }
+        out.clear();
+        let (left, right) = pre.split_at(cols.len());
+        let biased = cols.iter().zip(left).map(|(&c, &s)| s + self.b1[c]);
         match self.activation {
-            Activation::Geglu => {
-                let half = self.d_ff() / 2;
-                let left = ops::dot(x.row(r), &self.w1.col(c)) + self.b1[c];
-                let right = ops::dot(x.row(r), &self.w1.col(half + c)) + self.b1[half + c];
-                exion_tensor::activation::gelu(left) * right
-            }
-            act => {
-                let pre = ops::dot(x.row(r), &self.w1.col(c)) + self.b1[c];
-                act.apply(&Matrix::from_vec(1, 1, vec![pre]))[(0, 0)]
-            }
+            Activation::Geglu => out.extend(
+                biased
+                    .zip(cols.iter().zip(right))
+                    .map(|(l, (&c, &r))| activation::gelu(l) * (r + self.b1[half + c])),
+            ),
+            Activation::Gelu => out.extend(biased.map(activation::gelu)),
+            Activation::Silu => out.extend(biased.map(activation::silu)),
+            Activation::Relu => out.extend(biased.map(activation::relu)),
         }
     }
 
@@ -209,9 +230,12 @@ pub fn calibrate_threshold(h: &Matrix, target_sparsity: f64) -> f32 {
         "target sparsity {target_sparsity} outside [0, 1]"
     );
     let mut mags: Vec<f32> = h.as_slice().iter().map(|x| x.abs()).collect();
-    mags.sort_by(|a, b| a.partial_cmp(b).expect("activation magnitudes are not NaN"));
     let idx = ((mags.len() as f64 * target_sparsity) as usize).min(mags.len() - 1);
-    mags[idx]
+    *mags
+        .select_nth_unstable_by(idx, |a, b| {
+            a.partial_cmp(b).expect("activation magnitudes are not NaN")
+        })
+        .1
 }
 
 /// Whether an iteration ran dense or sparse.
@@ -390,12 +414,16 @@ impl FfnReuseEngine {
         // partial sums ("Add Output to Partial Sums Only When Bitmask Bit is
         // 1", Fig. 6).
         let mut y = state.reuse_partial.clone();
-        for (r, c) in bitmask.iter_ones() {
-            let h = w.hidden_at(x, r, c);
-            let w2_row = w.w2.row(c);
+        let (mut cols, mut pre, mut hidden) = (Vec::new(), Vec::new(), Vec::new());
+        for r in 0..x.rows() {
+            cols.clear();
+            cols.extend(bitmask.row_ones(r));
+            w.hidden_row_at(x.row(r), &cols, &mut pre, &mut hidden);
             let y_row = y.row_mut(r);
-            for (yv, &wv) in y_row.iter_mut().zip(w2_row) {
-                *yv += h * wv;
+            for (&c, &h) in cols.iter().zip(&hidden) {
+                for (yv, &wv) in y_row.iter_mut().zip(w.w2.row(c)) {
+                    *yv += h * wv;
+                }
             }
         }
 
@@ -609,6 +637,81 @@ mod tests {
         assert_eq!(r.kind, IterationKind::Dense);
         let s2 = engine.bitmask().expect("dense state").sparsity();
         assert!((s2 - 0.9).abs() < 0.05, "got {s2}");
+    }
+
+    /// Sorted-quantile reference for [`calibrate_threshold`].
+    fn sorted_quantile(h: &Matrix, target_sparsity: f64) -> f32 {
+        let mut mags: Vec<f32> = h.as_slice().iter().map(|x| x.abs()).collect();
+        mags.sort_by(|a, b| a.partial_cmp(b).expect("not NaN"));
+        let idx = ((mags.len() as f64 * target_sparsity) as usize).min(mags.len() - 1);
+        mags[idx]
+    }
+
+    #[test]
+    fn calibrate_threshold_equals_the_sorted_quantile() {
+        let (w, x) = setup(12);
+        // Dense activations, a matrix of heavy ties (including signed
+        // zeros), and a single element.
+        let ties = Matrix::from_fn(9, 7, |r, c| [0.0, -0.0, 0.5, -0.5, 2.0][(r * 3 + c) % 5]);
+        for h in [w.hidden_dense(&x), ties, Matrix::full(1, 1, -3.0)] {
+            for target in [0.0, 0.1, 0.25, 0.5, 0.8, 0.9, 0.97, 1.0] {
+                assert_eq!(
+                    calibrate_threshold(&h, target).to_bits(),
+                    sorted_quantile(&h, target).to_bits(),
+                    "target {target}"
+                );
+            }
+        }
+    }
+
+    /// The per-element reference the sparse iteration replaced: gather one
+    /// `w1` column per recomputed element and take `ops::dot`.
+    fn hidden_at_reference(w: &FfnWeights, x: &Matrix, r: usize, c: usize) -> f32 {
+        let pre = |col: usize| ops::dot(x.row(r), &w.w1.col(col)) + w.b1[col];
+        match w.activation {
+            Activation::Geglu => activation::gelu(pre(c)) * pre(w.d_ff() / 2 + c),
+            act => act.apply(&Matrix::from_vec(1, 1, vec![pre(c)]))[(0, 0)],
+        }
+    }
+
+    #[test]
+    fn sparse_iteration_equals_the_per_element_dot_reference_bit_for_bit() {
+        for (i, act) in [
+            Activation::Gelu,
+            Activation::Geglu,
+            Activation::Silu,
+            Activation::Relu,
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let seed = 40 + i as u64;
+            let mut w = FfnWeights::random(16, 96, act, seed);
+            // Half the biases non-zero, so both bias paths are exercised.
+            let bias = seeded_uniform(1, 96, -0.2, 0.2, seed + 1);
+            for (c, b) in w.b1.iter_mut().enumerate() {
+                *b = if c % 2 == 0 { bias[(0, c)] } else { 0.0 };
+            }
+            let x = seeded_uniform(10, 16, -1.0, 1.0, seed + 2);
+            // The next iteration's input: perturbed, with an all-zero row.
+            let mut x2 = x.map(|v| v + 0.03);
+            x2.row_mut(3).fill(-0.0);
+            let mut engine = FfnReuseEngine::new(FfnReuseConfig::with_target_sparsity(0.8, 2));
+            let _ = engine.forward(&x, &w);
+            let state = engine.state.clone().expect("dense state");
+            let (y, report) = engine.forward(&x2, &w);
+            assert_eq!(report.kind, IterationKind::Sparse);
+
+            let mut want = state.reuse_partial.clone();
+            for (r, c) in state.bitmask.iter_ones() {
+                let h = hidden_at_reference(&w, &x2, r, c);
+                for (yv, &wv) in want.row_mut(r).iter_mut().zip(w.w2.row(c)) {
+                    *yv += h * wv;
+                }
+            }
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&y), bits(&want), "{act:?}");
+        }
     }
 
     #[test]

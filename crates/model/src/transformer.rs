@@ -162,7 +162,8 @@ impl BlockWeights {
 pub struct BlockReport {
     /// FFN-Reuse iteration report (None when running dense FFN).
     pub ffn: Option<FfnIterationReport>,
-    /// Eager-prediction statistics averaged over heads (None without EP).
+    /// Eager-prediction statistics over heads: the three fractions are
+    /// averaged, `one_hot_rows` is summed (None without EP).
     pub ep_stats: Option<EpStats>,
     /// QKV + output projection MACs (performed vs dense).
     pub qkv_ops: OpCounts,

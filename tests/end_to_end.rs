@@ -2,7 +2,7 @@
 //! ablation, feeding the compaction mechanism and the cycle-level simulator.
 
 use exion::core::conmerge::{CompactionConfig, TileCompactor};
-use exion::model::{Ablation, ExecPolicy, GenerationPipeline, ModelConfig, ModelKind};
+use exion::model::{Ablation, ExecPolicy, GenerationPipeline, ModelConfig, ModelKind, RunReport};
 use exion::sim::config::HwConfig;
 use exion::sim::perf::{simulate_model, SimAblation};
 use exion::sim::workload::SparsityProfile;
@@ -38,6 +38,101 @@ fn every_benchmark_generates_under_every_ablation() {
             );
         }
     }
+}
+
+/// FNV-style fold over one functional run — the fold `tests/event_core.rs`
+/// pins the serving core with: the output's `f32` bit patterns, the set
+/// bits of every captured FFN and attention mask (with each mask's shape),
+/// and the run's performed and dense MACs.
+fn pipeline_fingerprint(out: &exion::tensor::Matrix, report: &RunReport) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for &x in out.as_slice() {
+        mix(u64::from(x.to_bits()));
+    }
+    for mask in report
+        .ffn_masks()
+        .into_iter()
+        .chain(report.attention_masks())
+    {
+        mix(mask.rows() as u64);
+        mix(mask.cols() as u64);
+        for (r, c) in mask.iter_ones() {
+            mix(r as u64);
+            mix(c as u64);
+        }
+    }
+    let ops = report.total_ops();
+    mix(ops.performed);
+    mix(ops.dense);
+    h
+}
+
+/// The ablations the goldens below pin, in column order.
+const GOLDEN_ABLATIONS: [Ablation; 2] = [Ablation::Ep, Ablation::FfnReuseEpQuant];
+
+/// Fingerprints of every zoo model at `shrunk(2, 6)` (weight seed 1, noise
+/// seed 2, mask capture on) under eager prediction alone and under the full
+/// FFN-Reuse + EP + INT12 stack, captured on the reference kernels
+/// (`log_dot` per product, sorted top-k, sorted calibration quantile,
+/// gathered `w1` columns). Kernel rewrites must reproduce every run bit for
+/// bit.
+const PIPELINE_GOLDENS: [(ModelKind, [u64; 2]); 7] = [
+    (
+        ModelKind::Mld,
+        [0x4239_fd6e_7aa4_1fa9, 0x818a_14db_78e5_0bab],
+    ),
+    (
+        ModelKind::Mdm,
+        [0x2eef_f51d_99d8_e43a, 0xaa42_1078_ca6b_7ecc],
+    ),
+    (
+        ModelKind::MakeAnAudio,
+        [0x57f4_4c98_7547_a07a, 0x7b94_be16_daae_05e1],
+    ),
+    (
+        ModelKind::StableDiffusion,
+        [0xf25f_82a9_77a4_43d7, 0x7c34_5c84_4caa_ca6a],
+    ),
+    (
+        ModelKind::VideoCrafter2,
+        [0x7e43_baa8_8298_65f5, 0x2a1d_2bc4_6b0f_eb2e],
+    ),
+    (
+        ModelKind::Dit,
+        [0xde79_c550_7f3f_cb36, 0xd37e_2558_4b02_168a],
+    ),
+    (
+        ModelKind::Edge,
+        [0xb59d_420c_2645_d032, 0xffc4_866a_a735_4832],
+    ),
+];
+
+#[test]
+fn functional_pipeline_matches_its_golden_fingerprints() {
+    let pinned: Vec<ModelKind> = PIPELINE_GOLDENS.iter().map(|g| g.0).collect();
+    assert_eq!(pinned, ModelKind::ALL, "one golden row per zoo model");
+    let mut mismatches = Vec::new();
+    for (kind, goldens) in PIPELINE_GOLDENS {
+        let config = tiny(kind);
+        for (ablation, golden) in GOLDEN_ABLATIONS.into_iter().zip(goldens) {
+            let policy = ablation.policy(&config).with_mask_capture();
+            let mut p = GenerationPipeline::new(&config, policy, 1);
+            let (out, report) = p.generate("golden", 2);
+            let fp = pipeline_fingerprint(&out, &report);
+            if fp != golden {
+                mismatches.push(format!("{kind:?}/{ablation:?}: {fp:#018x}"));
+            }
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "functional pipeline diverged from its goldens:\n{}",
+        mismatches.join("\n")
+    );
 }
 
 #[test]
