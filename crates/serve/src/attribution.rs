@@ -544,13 +544,7 @@ impl AttributionBuilder {
                 // close comes from a drain/fault, not a join); degraded
                 // overlap is still carved out.
                 let span = (at_ms - since).max(0.0);
-                let overlap = {
-                    let mut o: f64 = 0.0;
-                    for &(s, e2) in &self.degraded {
-                        o += (at_ms.min(e2) - since.max(s)).max(0.0);
-                    }
-                    o.min(span)
-                };
+                let overlap = self.degraded_overlap(since, at_ms);
                 let e = &mut self.live[id as usize];
                 e.phases.add(Phase::Queue, span - overlap);
                 e.phases.add(Phase::DegradedWindow, overlap);
@@ -575,8 +569,7 @@ impl AttributionBuilder {
     /// have opened its door); `coll`/`refill` are that unit's cumulative
     /// stall counters, snapshotted for the in-batch close.
     pub fn join(&mut self, id: u64, at_ms: f64, door_floor_ms: f64, coll: f64, refill: f64) {
-        let e = &self.live[id as usize];
-        match e.seg {
+        match self.live[id as usize].seg {
             Seg::Queue { since } => {
                 // Queue wait runs until the unit's door could have opened;
                 // the rest of the wait is batch-join delay. Queue time
@@ -588,24 +581,12 @@ impl AttributionBuilder {
                 e.phases.add(Phase::DegradedWindow, overlap);
                 e.phases.add(Phase::BatchJoin, at_ms - door);
             }
-            Seg::Parked { since } => {
-                self.live[id as usize]
-                    .phases
-                    .add(Phase::Parked, (at_ms - since).max(0.0));
-            }
-            Seg::Migration { since } => {
-                self.live[id as usize]
-                    .phases
-                    .add(Phase::Migration, (at_ms - since).max(0.0));
-            }
-            Seg::FaultWait { since } => {
-                self.live[id as usize]
-                    .phases
-                    .add(Phase::FaultStall, (at_ms - since).max(0.0));
-            }
             Seg::InBatch { .. } | Seg::Closed => {
                 debug_assert!(false, "request {id} joined from a non-waiting segment");
             }
+            // Parked, migration and fault waits each book whole to their
+            // own phase.
+            _ => self.close_seg(id, at_ms, coll, refill),
         }
         self.live[id as usize].seg = Seg::InBatch {
             since: at_ms,

@@ -36,13 +36,13 @@ use exion_telemetry::{
 };
 
 use crate::admission::{self, AdmissionController, AdmissionDecision, AdmissionView, AdmitAll};
-use crate::attribution::{AttributionBuilder, AttributionReport};
+use crate::attribution::AttributionBuilder;
 use crate::calendar::{EventCalendar, EventKind};
 use crate::cost::CostModel;
 use crate::fault::{CheckpointPolicy, FaultKind, FaultPlan, FaultSpec};
 use crate::metrics::{
-    DepthTracker, EpochStat, FaultRecord, FaultReport, LatencyStats, MetricsSnapshot,
-    PlannerReport, ReplanEvent, SeriesRecorder, ServeReport,
+    DepthTracker, EpochStat, FaultRecord, FaultReport, LatencyStats, PlannerReport, ReplanEvent,
+    SeriesRecorder, ServeReport,
 };
 use crate::placement::{Gang, Placement};
 use crate::planner::PlacementPlanner;
@@ -50,7 +50,7 @@ use crate::policy::{self, Fcfs, SchedulerPolicy};
 use crate::queue::ReadyQueue;
 use crate::request::{Completion, LostRecord, Request, ShedRecord};
 use crate::scheduler::{AdmitOutcome, SchedContext};
-use crate::trace::{Arrival, ArrivalStream, TraceConfig};
+use crate::trace::{Arrival, ArrivalStream, TraceConfig, WorkloadMix};
 
 /// The widest gang one placement may declare: partition shard indices are
 /// `u8`, and nothing on a board approaches this.
@@ -510,25 +510,21 @@ struct PlannerState {
     report: PlannerReport,
 }
 
-/// Builds the scheduling units of `placement`, assigning member instance
-/// ids from `*next_id` on (monotone across migrations, so retired and new
-/// instances never collide).
-fn build_units(
-    placement: &Placement,
-    hw: &HwConfig,
-    eviction: EvictionPolicy,
-    next_id: &mut usize,
-) -> Vec<Gang> {
-    let mut units: Vec<Gang> = Vec::with_capacity(placement.units());
-    for _ in 0..placement.replicas {
-        units.push(Gang::replica(*next_id, hw, eviction));
-        *next_id += 1;
+impl PlannerState {
+    /// Scores the planner's candidates for `mix` at the current forecast
+    /// and budget, returning the chosen placement.
+    fn plan(
+        &self,
+        hw: &HwConfig,
+        mix: &WorkloadMix,
+        cost: &mut CostModel,
+        watch: &mut StopWatch,
+    ) -> Placement {
+        self.planner
+            .plan_timed(hw, mix, self.forecast_rps, cost, watch)
+            .chosen
+            .placement
     }
-    for _ in 0..placement.gangs {
-        units.push(Gang::sharded(*next_id, hw, eviction, placement.strategy));
-        *next_id += placement.strategy.degree();
-    }
-    units
 }
 
 /// Declares one timeline track per member instance of `units` on `sink`
@@ -548,27 +544,6 @@ fn declare_unit_tracks(units: &[Gang], sink: &mut dyn Sink) {
     }
 }
 
-/// Emits one [`SliceKind::Idle`] slice per member of `unit` covering the
-/// gap the idle clock is about to jump over, so exported timelines show
-/// contiguous busy/idle coverage instead of silent holes.
-fn emit_idle_slices(unit: &Gang, wake_ms: f64, sink: &mut dyn Sink) {
-    let start_ms = unit.now_ms();
-    let dur_ms = wake_ms - start_ms;
-    if dur_ms <= 0.0 {
-        return;
-    }
-    for m in &unit.members {
-        sink.slice(TimelineSlice {
-            instance: m.id as u32,
-            kind: SliceKind::Idle,
-            start_ms,
-            dur_ms,
-            label: "idle",
-            batch: 0,
-        });
-    }
-}
-
 /// One entry of the cluster loop's runtime fault table. The calendar's
 /// [`EventKind::Fault`] entries carry indices into this table: the
 /// configured plan's events occupy the head, and the recoveries / link
@@ -581,8 +556,9 @@ enum RuntimeFault {
     /// the planner-budget slice to restore (0 under static placement,
     /// where the slot-sleeping replacement wakes by itself).
     Recover { crashed_at: f64, instances: usize },
-    /// An interconnect degradation window closes.
-    LinkRestore { slowdown: f64 },
+    /// The interconnect degradation window opened by fault-table entry
+    /// `opened` closes.
+    LinkRestore { opened: usize },
 }
 
 /// `placement` with its gang interconnect degraded by `slowdown` (a
@@ -598,12 +574,40 @@ fn degraded_placement(placement: &Placement, slowdown: f64) -> Placement {
     p
 }
 
+/// What one executed iteration added to a unit's stall counters: its
+/// collective milliseconds and each member's DRAM weight-refill bytes.
+/// Filled once per iteration into a buffer reused across the run, and
+/// read by both the timeline slices and the attribution clocks.
+#[derive(Debug, Clone, Default)]
+struct IterationDeltas {
+    coll_ms: f64,
+    refill_bytes: Vec<u64>,
+}
+
+impl IterationDeltas {
+    /// Snapshots `unit`'s cumulative counters before the iteration.
+    fn begin(&mut self, unit: &Gang) {
+        self.coll_ms = unit.collective_totals().0;
+        self.refill_bytes.clear();
+        self.refill_bytes
+            .extend(unit.members.iter().map(|m| m.refill_bytes_so_far()));
+    }
+
+    /// Turns the snapshot into the iteration's deltas.
+    fn end(&mut self, unit: &Gang) {
+        self.coll_ms = unit.collective_totals().0 - self.coll_ms;
+        for (bytes, m) in self.refill_bytes.iter_mut().zip(&unit.members) {
+            *bytes = m.refill_bytes_so_far() - *bytes;
+        }
+    }
+}
+
 /// Per-unit attribution clock: the facts the [`AttributionBuilder`] needs
 /// that the simulation does not hand over directly. Tracks the unit's
 /// previous boundary instant (the batch-join "door floor") and running
-/// collective / refill-stall milliseconds, derived incrementally from the
-/// gang's cumulative counters after each executed iteration. Pure
-/// observation — nothing here is read by the scheduler.
+/// collective / refill-stall milliseconds, folded in from each executed
+/// iteration's [`IterationDeltas`]. Pure observation — nothing here is
+/// read by the scheduler.
 #[derive(Debug, Clone)]
 struct UnitAttrib {
     /// The unit's previous boundary event instant (ms).
@@ -612,10 +616,6 @@ struct UnitAttrib {
     coll_ms: f64,
     /// Cumulative refill-stall milliseconds attributed so far.
     refill_ms: f64,
-    /// Last observed [`Gang::collective_totals`] milliseconds.
-    coll_total_prev: f64,
-    /// Last observed per-member refill byte counters.
-    refill_prev: Vec<u64>,
 }
 
 impl UnitAttrib {
@@ -624,154 +624,25 @@ impl UnitAttrib {
             prev_boundary_ms: unit.now_ms(),
             coll_ms: 0.0,
             refill_ms: 0.0,
-            coll_total_prev: unit.collective_totals().0,
-            refill_prev: unit
-                .members
-                .iter()
-                .map(|m| m.refill_bytes_so_far())
-                .collect(),
         }
     }
 
-    /// Folds one executed iteration (`iter_start` to the unit's clock)
-    /// into the running stall counters: the collective delta clamps to
-    /// the iteration, and the refill stall is the slowest member's
-    /// transfer time for its fresh refill bytes, clamped to what the
-    /// iteration has left after collectives.
-    fn after_iteration(&mut self, unit: &Gang, ctx: &SchedContext, iter_start: f64) {
-        let dur = (unit.now_ms() - iter_start).max(0.0);
-        let coll_total = unit.collective_totals().0;
-        let coll_delta = (coll_total - self.coll_total_prev).clamp(0.0, dur);
-        self.coll_total_prev = coll_total;
+    /// Folds one executed iteration of `dur` ms into the running stall
+    /// counters: the collective delta clamps to the iteration, and the
+    /// refill stall is the slowest member's transfer time for its fresh
+    /// refill bytes, clamped to what the iteration has left after
+    /// collectives.
+    fn after_iteration(&mut self, deltas: &IterationDeltas, ctx: &SchedContext, dur: f64) {
+        let coll_delta = deltas.coll_ms.clamp(0.0, dur);
         self.coll_ms += coll_delta;
         let mut refill_stall: f64 = 0.0;
-        for (slot, m) in unit.members.iter().enumerate() {
-            let bytes = m.refill_bytes_so_far();
-            let delta = bytes.saturating_sub(self.refill_prev[slot]);
-            self.refill_prev[slot] = bytes;
-            if delta > 0 {
-                refill_stall = refill_stall.max(ctx.transfer_ms(delta));
+        for &bytes in &deltas.refill_bytes {
+            if bytes > 0 {
+                refill_stall = refill_stall.max(ctx.transfer_ms(bytes));
             }
         }
         self.refill_ms += refill_stall.min((dur - coll_delta).max(0.0));
     }
-}
-
-/// Applies a fault's destruction semantics to a unit already marked dead:
-/// drains its batch (checkpointed requests requeue with their steps
-/// rolled back, the rest are lost) and resolves every queued request
-/// whose parked latent lives on this unit — survivors of a member loss
-/// write the latent back to DRAM (priced on the holding member), while a
-/// latent on a dead member is gone and its request restarts from a DRAM
-/// checkpoint or is lost. Returns `(requeued, lost)` counts.
-#[allow(clippy::too_many_arguments)]
-fn teardown_dead_unit(
-    unit: &mut Gang,
-    queue: &mut ReadyQueue,
-    ctx: &SchedContext,
-    at_ms: f64,
-    depth: &mut DepthTracker,
-    drains_total: &mut u64,
-    inflight_rows: &mut i64,
-    losts: &mut Vec<LostRecord>,
-    unit_stalls: (f64, f64),
-    attrib: &mut Option<AttributionBuilder>,
-    sink: &mut dyn Sink,
-    traced: bool,
-) -> (usize, usize) {
-    let (ua_coll, ua_refill) = unit_stalls;
-    let out = unit.drain_for_migration(queue, ctx, at_ms);
-    let mut requeued = out.requeued.len();
-    let mut lost = out.lost.len();
-    *drains_total += out.requeued.len() as u64;
-    *inflight_rows -= (out.requeued.len() + out.lost.len()) as i64;
-    for &(id, t) in &out.requeued {
-        depth.stamp(t, 1);
-        if let Some(ab) = attrib.as_mut() {
-            ab.fault_requeue(id, t, ua_coll, ua_refill);
-        }
-        if traced {
-            let model = queue.get(id).map(|r| r.model.name()).unwrap_or("unknown");
-            sink.span(SpanRecord {
-                at_ms: t,
-                request: id,
-                model,
-                event: RequestEvent::Migrated,
-            });
-        }
-    }
-    for r in &out.lost {
-        losts.push(LostRecord {
-            id: r.id,
-            model: r.model,
-            at_ms,
-            steps_lost: r.steps_done,
-        });
-        if let Some(ab) = attrib.as_mut() {
-            ab.lost(r.id, at_ms);
-        }
-        if traced {
-            sink.span(SpanRecord {
-                at_ms,
-                request: r.id,
-                model: r.model.name(),
-                event: RequestEvent::Lost,
-            });
-        }
-    }
-    let dead_ids = unit.dead_member_ids();
-    let homed: Vec<(u64, usize)> = queue
-        .iter()
-        .filter_map(|r| {
-            r.parked_on
-                .filter(|p| unit.members.iter().any(|m| m.id == *p))
-                .map(|p| (r.id, p))
-        })
-        .collect();
-    for (id, home) in homed {
-        if dead_ids.contains(&home) {
-            let mut r = queue
-                .remove_by_id(id, ctx)
-                .expect("listed from the queue above");
-            match r.checkpointed_steps {
-                Some(step) => {
-                    r.steps_done = step;
-                    r.parked_on = None;
-                    r.ready_ms = r.ready_ms.max(at_ms);
-                    requeued += 1;
-                    if let Some(ab) = attrib.as_mut() {
-                        ab.fault_requeue(r.id, at_ms, ua_coll, ua_refill);
-                    }
-                    queue.push(r, ctx);
-                }
-                None => {
-                    lost += 1;
-                    depth.stamp(at_ms, -1);
-                    losts.push(LostRecord {
-                        id: r.id,
-                        model: r.model,
-                        at_ms,
-                        steps_lost: r.steps_done,
-                    });
-                    if let Some(ab) = attrib.as_mut() {
-                        ab.lost(r.id, at_ms);
-                    }
-                    if traced {
-                        sink.span(SpanRecord {
-                            at_ms,
-                            request: r.id,
-                            model: r.model.name(),
-                            event: RequestEvent::Lost,
-                        });
-                    }
-                }
-            }
-        } else {
-            unit.discard_member_latent(home, id, ctx);
-            queue.clear_parked_hint(id);
-        }
-    }
-    (requeued, lost)
 }
 
 /// Self-metering of one simulator run: wall-clock cost beside the
@@ -1065,1284 +936,963 @@ impl ServeSimulator {
     /// telemetry tests pin that property. With the default [`NullSink`]
     /// every emission site reduces to one branch.
     pub fn run_traced(&mut self, trace: &TraceConfig, sink: &mut dyn Sink) -> ServeReport {
+        ClusterRun::new(self, trace, sink).run()
+    }
+}
+
+/// One run of the cluster loop. The event calendar replaces a
+/// per-boundary min-clock scan: each unit keeps exactly one scheduled
+/// event (its next iteration boundary, or its idle wake), the stats
+/// cadence, planner epochs and fault-plan events are calendar entries of
+/// their own, and the loop pops in deterministic (time, kind rank, unit
+/// index) order until no unit has an event left — idle units cost
+/// nothing, and wall time scales with events executed rather than
+/// horizon × units.
+///
+/// The run owns the fleet, the queue and every observer plane together,
+/// so each [`EventKind`] has one handler and each lifecycle fact (a
+/// request lost or requeued, a degraded window opened, a re-plan booked,
+/// a unit put to sleep, …) is recorded by one method that feeds every
+/// plane the fact touches: the sink, the [`AttributionBuilder`], the
+/// series counters, the queue-depth tracker and the histograms. The
+/// observers are pure: nothing in the loop reads them back, so a report
+/// is byte-identical with the sink or attribution on or off.
+struct ClusterRun<'a> {
+    sim: &'a mut ServeSimulator,
+    trace: &'a TraceConfig,
+    sink: &'a mut dyn Sink,
+    /// Whether `sink` records anything (false for [`NullSink`]).
+    traced: bool,
+    run_start: std::time::Instant,
+    planner_watch: StopWatch,
+    kinds: Vec<ModelKind>,
+    /// Per-kind `(slo_ms, steps)` released requests are minted with.
+    request_proto: HashMap<ModelKind, (f64, usize)>,
+    releaser: ArrivalReleaser,
+
+    /// The deployed placement (planner-chosen under auto-placement).
+    placement: Placement,
+    planner: Option<PlannerState>,
+    units: Vec<Gang>,
+    /// Birth instant of each live unit, parallel to `units`: utilization
+    /// is taken over the window a unit actually existed, and a crashed
+    /// slot's replacement is born at its recovery instant.
+    units_birth: Vec<f64>,
+    /// Retired units with their `(birth, death)` live windows.
+    retired: Vec<(Gang, f64, f64)>,
+    /// Next free instance id (monotone across migrations, so retired and
+    /// new instances never collide).
+    next_id: usize,
+    queue: ReadyQueue,
+    /// Per-model scheduling constants, rebuilt whenever the placement or
+    /// the interconnect's health changes.
+    ctx: SchedContext,
+    calendar: EventCalendar,
+
+    completions: Vec<Completion>,
+    sheds: Vec<ShedRecord>,
+    losts: Vec<LostRecord>,
+    degraded_requests: usize,
+
+    /// Streaming queue depth: stamps fold in as the calendar advances.
+    depth: DepthTracker,
+    /// Per-request latency attribution (when configured) with its
+    /// per-unit clocks, parallel to `units`.
+    attrib: Option<AttributionBuilder>,
+    unit_attrib: Vec<UnitAttrib>,
+    /// Latency and queue-delay histograms: report percentiles never sort
+    /// the full sample.
+    latency_hist: LogHistogram,
+    queue_hist: LogHistogram,
+    /// Counter/gauge time-series, sampled at epoch boundaries and every
+    /// `stats_interval_ms`; the running totals below are what it diffs.
+    series: SeriesRecorder,
+    enqueued_total: u64,
+    parks_total: u64,
+    resumes_total: u64,
+    drains_total: u64,
+    /// In-flight batch rows across the fleet, tracked from admit /
+    /// complete / drain deltas so snapshots never re-scan every unit.
+    inflight_rows: i64,
+
+    /// Indexed by [`EventKind::Fault`] entries (see [`RuntimeFault`]).
+    fault_table: Vec<RuntimeFault>,
+    /// Fault accounting, accumulated as faults fire and finished when
+    /// the report is assembled.
+    fault: FaultReport,
+    /// Open interconnect degradations as `(fault-table index, slowdown)`,
+    /// in opening order. The fabric is priced at their product, which is
+    /// exactly 1.0 — the healthy fabric — when none is open.
+    link_windows: Vec<(usize, f64)>,
+    /// Crash-to-recovery and degrade-to-restore windows, for the
+    /// attainment-under-failure split.
+    degraded_windows: Vec<(f64, f64)>,
+    /// Set when the whole fleet dies un-recoverably: queued work strands
+    /// at this instant and converts to lost after the loop.
+    stranded_at: Option<f64>,
+
+    executed_iterations: u64,
+    events_executed: u64,
+    /// Arrivals generated before the current planner epoch started.
+    epoch_cum_start: usize,
+    /// Boundary-path scratch reused across every event, so a
+    /// steady-state iteration boundary allocates nothing.
+    boundary_outcome: AdmitOutcome,
+    boundary_done: Vec<Completion>,
+    deltas: IterationDeltas,
+}
+
+impl<'a> ClusterRun<'a> {
+    /// Plans (under auto-placement) and deploys the initial fleet, and
+    /// schedules the first unit boundaries, the stats cadence, the first
+    /// planner epoch and every fault-plan event.
+    fn new(sim: &'a mut ServeSimulator, trace: &'a TraceConfig, sink: &'a mut dyn Sink) -> Self {
         let run_start = std::time::Instant::now();
         let mut planner_watch = StopWatch::new();
-        let mut executed_iterations: u64 = 0;
-        let traced = sink.enabled();
-        let max_batch = self.config.max_batch as u64;
-        // Arrivals stream off the seeded generator lazily — a fleet-scale
-        // trace is never materialized. Requests are minted at release time
-        // from per-kind constants precomputed here: the SLO scales the
-        // model's steady-state service time (a full generation at the
-        // deployment's batch size), so it is attainable under batching and
-        // degrades only through queueing.
-        let mut releaser = ArrivalReleaser::new(trace);
+        // Requests are minted at release time from per-kind constants: the
+        // SLO scales the model's steady-state service time (a full
+        // generation at the deployment's batch size), so it is attainable
+        // under batching and degrades only through queueing.
+        let max_batch = sim.config.max_batch as u64;
         let kinds = trace.mix.kinds();
-        let request_proto: HashMap<ModelKind, (f64, usize)> = kinds
+        let request_proto = kinds
             .iter()
             .map(|&kind| {
-                let config = self.model_config(kind);
+                let config = sim.model_config(kind);
                 let slo_ms = trace.mix.slo_multiplier(kind)
-                    * self.cost.generation_latency_ms(&config, max_batch);
+                    * sim.cost.generation_latency_ms(&config, max_batch);
                 (kind, (slo_ms, config.iterations))
             })
             .collect();
-
         // Auto-placement: the offline pass picks the initial placement for
         // the traced mix at the configured forecast; statically placed
         // clusters keep the config's placement.
-        let auto = self.config.auto_placement.clone();
-        let (mut placement, mut planner_state) = match &auto {
+        let (placement, planner) = match &sim.config.auto_placement {
             Some(ap) => {
-                let outcome = ap.planner.plan_timed(
-                    &self.config.hw,
-                    &trace.mix,
-                    ap.forecast_rps,
-                    &mut self.cost,
-                    &mut planner_watch,
-                );
-                let chosen = outcome.chosen.placement;
-                let state = PlannerState {
+                let mut state = PlannerState {
                     planner: ap.planner.clone(),
                     forecast_rps: ap.forecast_rps,
                     epoch_start_ms: 0.0,
                     report: PlannerReport {
-                        initial_placement: chosen.summary(),
-                        final_placement: chosen.summary(),
+                        initial_placement: String::new(),
+                        final_placement: String::new(),
                         initial_forecast_rps: ap.forecast_rps,
                         replans: Vec::new(),
                         epochs: Vec::new(),
                     },
                 };
+                let chosen = state.plan(
+                    &sim.config.hw,
+                    &trace.mix,
+                    &mut sim.cost,
+                    &mut planner_watch,
+                );
+                state.report.initial_placement = chosen.summary();
+                state.report.final_placement = chosen.summary();
                 (chosen, Some(state))
             }
-            None => (self.config.placement, None),
+            None => (sim.config.placement, None),
         };
-
-        let mut next_id = 0usize;
-        let mut units = build_units(
-            &placement,
-            &self.config.hw,
-            self.config.eviction,
-            &mut next_id,
-        );
-        // Per-unit lifetime accounting: utilization must be taken over the
-        // window a unit actually existed (birth to retirement/makespan),
-        // not the whole run — a migrated cluster would otherwise look
-        // half-idle. `units_birth` parallels `units` (births diverge when
-        // a crashed slot's replacement is born at its recovery instant);
-        // retired units carry their `(birth, death)` window with them.
-        let mut units_birth: Vec<f64> = vec![0.0; units.len()];
-        let mut retired: Vec<(Gang, f64, f64)> = Vec::new();
-        let admission = self.config.admission.clone();
-        let mut queue = ReadyQueue::new();
-        let mut completions: Vec<Completion> = Vec::new();
-        let mut sheds: Vec<ShedRecord> = Vec::new();
-        let mut degraded_requests = 0usize;
-        let mut depth = DepthTracker::default();
-        // Boundary-path scratch: one admit outcome and one completions
-        // buffer reused across every event, so a steady-state iteration
-        // boundary allocates nothing.
-        let mut boundary_outcome = AdmitOutcome::default();
-        let mut boundary_done: Vec<Completion> = Vec::new();
-        if traced {
-            declare_unit_tracks(&units, sink);
-        }
-        // Latency attribution: every released request accumulates a
-        // conserved phase breakdown. The builder and its per-unit clocks
-        // are pure observers — they read boundary instants and cumulative
-        // stall counters, and nothing in the loop reads them back — so the
-        // report is byte-identical with attribution on or off.
-        let mut attrib: Option<AttributionBuilder> =
-            self.config.attribution.then(AttributionBuilder::new);
-        let mut unit_attrib: Vec<UnitAttrib> = if attrib.is_some() {
-            units.iter().map(UnitAttrib::new).collect()
-        } else {
-            Vec::new()
+        let ctx = sim.sched_context(&kinds, &placement);
+        let mut run = ClusterRun {
+            traced: sink.enabled(),
+            run_start,
+            planner_watch,
+            kinds,
+            request_proto,
+            releaser: ArrivalReleaser::new(trace),
+            placement,
+            planner,
+            units: Vec::new(),
+            units_birth: Vec::new(),
+            retired: Vec::new(),
+            next_id: 0,
+            queue: ReadyQueue::new(),
+            ctx,
+            calendar: EventCalendar::new(0),
+            completions: Vec::new(),
+            sheds: Vec::new(),
+            losts: Vec::new(),
+            degraded_requests: 0,
+            depth: DepthTracker::default(),
+            attrib: sim.config.attribution.then(AttributionBuilder::new),
+            unit_attrib: Vec::new(),
+            latency_hist: LogHistogram::default(),
+            queue_hist: LogHistogram::default(),
+            series: SeriesRecorder::new(),
+            enqueued_total: 0,
+            parks_total: 0,
+            resumes_total: 0,
+            drains_total: 0,
+            inflight_rows: 0,
+            fault_table: Vec::new(),
+            fault: FaultReport::default(),
+            link_windows: Vec::new(),
+            degraded_windows: Vec::new(),
+            stranded_at: None,
+            executed_iterations: 0,
+            events_executed: 0,
+            epoch_cum_start: 0,
+            boundary_outcome: AdmitOutcome::default(),
+            boundary_done: Vec::new(),
+            deltas: IterationDeltas::default(),
+            sim,
+            trace,
+            sink,
         };
-
-        // Streaming latency/queue-delay histograms: completions are folded
-        // in as they happen, so report percentiles never sort the full
-        // sample (O(1) memory at any trace scale).
-        let mut latency_hist = LogHistogram::default();
-        let mut queue_hist = LogHistogram::default();
-
-        // Counter/gauge time-series: snapshots fire at planner epoch
-        // boundaries and (when configured) every `stats_interval_ms` of
-        // simulated time. Running totals the recorder diffs at snapshot
-        // time; the hot loop only bumps plain integers.
-        let mut series_rec = SeriesRecorder::new();
-        let mut enqueued_total: u64 = 0;
-        let mut parks_total: u64 = 0;
-        let mut resumes_total: u64 = 0;
-        let mut drains_total: u64 = 0;
-        let stats_interval = self.config.stats_interval_ms;
-
-        // Fault injection: the plan's events land on the calendar as
-        // `EventKind::Fault` entries whose `unit` field indexes the
-        // runtime fault table; the recoveries and link restores a firing
-        // fault pairs itself with are appended to the table as they are
-        // scheduled. An empty plan schedules nothing — the loop below is
-        // then byte-identical to a fault-free run.
-        let fault_plan = self.config.fault_plan.clone();
-        let chaos = !fault_plan.is_empty();
-        let checkpoint = self.config.checkpoint;
-        let mut fault_table: Vec<RuntimeFault> = Vec::new();
-        let mut losts: Vec<LostRecord> = Vec::new();
-        let mut fault_records: Vec<FaultRecord> = Vec::new();
-        let mut faults_injected = 0usize;
-        let mut faults_noop = 0usize;
-        let mut checkpointed_recoveries = 0usize;
-        let mut checkpoint_spills = 0usize;
-        let mut checkpoint_bytes = 0u64;
-        let mut replans_on_fault = 0usize;
-        let mut recoveries = 0usize;
-        let mut recover_ms_sum = 0.0f64;
-        // Multiplicative stack of active interconnect degradations (1.0 =
-        // healthy fabric); every scheduling-context build prices the
-        // currently degraded link bandwidth.
-        let mut link_slowdown = 1.0f64;
-        // Windows of degraded service — crash-to-recovery and
-        // degrade-to-restore intervals — for the attainment-under-failure
-        // split in the fault report.
-        let mut degraded_windows: Vec<(f64, f64)> = Vec::new();
-        // Set when the whole fleet dies un-recoverably: queued work
-        // strands at this instant and converts to lost after the loop.
-        let mut stranded_at: Option<f64> = None;
-
-        // Per-model scheduling constants (periods, weight/latent footprints,
-        // refill costs, partition plans) are computed once per traced kind —
-        // and rebuilt whenever a re-plan changes the partition strategy.
-        let mut ctx = self.sched_context(&kinds, &degraded_placement(&placement, link_slowdown));
-
-        // The event calendar replaces the per-boundary min-clock scan:
-        // each unit keeps exactly one scheduled event (its next iteration
-        // boundary, or its idle wake), the stats cadence and planner epochs
-        // are recurring events of their own, and the loop pops in
-        // deterministic (time, kind rank, unit index) order until no unit
-        // has an event left — idle units cost nothing, and wall time scales
-        // with events executed rather than horizon × units.
-        let mut calendar = EventCalendar::new(units.len());
-        for (u, unit) in units.iter().enumerate() {
-            calendar.schedule_unit(u, unit.now_ms(), EventKind::UnitBoundary);
+        run.deploy(placement, 0.0);
+        if let Some(interval) = run.sim.config.stats_interval_ms {
+            run.calendar.schedule_stats(interval);
         }
-        if let Some(interval) = stats_interval {
-            calendar.schedule_stats(interval);
-        }
-        if let Some(state) = &planner_state {
+        if let Some(state) = &run.planner {
             let first_epoch = state.planner.config.epoch_ms;
             if first_epoch <= trace.horizon_ms {
-                calendar.schedule_epoch(first_epoch);
+                run.calendar.schedule_epoch(first_epoch);
             }
         }
-        for (idx, spec) in fault_plan.events.iter().enumerate() {
-            fault_table.push(RuntimeFault::Inject(*spec));
-            calendar.schedule_fault(spec.at_ms, idx);
+        for (index, spec) in run.sim.config.fault_plan.events.iter().enumerate() {
+            run.fault_table.push(RuntimeFault::Inject(*spec));
+            run.calendar.schedule_fault(spec.at_ms, index);
         }
-        let mut events_executed: u64 = 0;
-        // In-flight batch rows across the fleet, tracked incrementally
-        // from admit/complete/drain deltas so snapshots never re-scan
-        // every unit.
-        let mut inflight_rows: i64 = 0;
-        // Cumulative arrivals generated before the current epoch start —
-        // the subtrahend of the streaming realized-load count.
-        let mut epoch_cum_start = 0usize;
+        run
+    }
 
-        while calendar.scheduled_units() > 0 {
-            let Some(ev) = calendar.pop() else { break };
-            events_executed += 1;
+    /// Pops and handles events until no unit has one left, then reports.
+    fn run(mut self) -> ServeReport {
+        while self.calendar.scheduled_units() > 0 {
+            let Some(ev) = self.calendar.pop() else { break };
+            self.events_executed += 1;
             // Fold queue-depth stamps that nothing can precede anymore:
             // future stamps land at or past this event's time (calendar
             // pops are time-ordered) or at a still-unreleased arrival.
-            depth.advance(ev.at_ms.min(releaser.peek_at_ms().unwrap_or(f64::INFINITY)));
+            let next_arrival = self.releaser.peek_at_ms().unwrap_or(f64::INFINITY);
+            self.depth.advance(ev.at_ms.min(next_arrival));
             match ev.kind {
-                // Fixed-cadence registry snapshot (when configured). Pure
-                // observation — nothing feeds back into the run — so it
-                // ranks before same-instant epoch and unit events.
-                EventKind::StatsSample => {
-                    debug_assert_eq!(
-                        inflight_rows,
-                        units
-                            .iter()
-                            .map(|u| u.leader().running.len() as i64)
-                            .sum::<i64>(),
-                        "incremental in-flight gauge drifted from the fleet"
-                    );
-                    series_rec.snapshot(
-                        ev.at_ms,
-                        [
-                            releaser.released() as u64,
-                            enqueued_total,
-                            sheds.len() as u64,
-                            degraded_requests as u64,
-                            completions.len() as u64,
-                            parks_total,
-                            resumes_total,
-                            drains_total,
-                            losts.len() as u64,
-                        ],
-                        [queue.len() as f64, inflight_rows as f64, ev.at_ms],
-                    );
-                    let interval = stats_interval.expect("sampling only runs when configured");
-                    calendar.schedule_stats(ev.at_ms + interval);
-                }
-
-                // Planner epoch end (auto-placement only). The heap cannot
-                // surface this before every scheduled unit event lies at or
-                // past it, so it fires exactly when the cluster-wide
-                // minimum clock passes the boundary — record realized-vs-
-                // forecast load; past the hysteresis threshold, adopt the
-                // realized load, re-plan, and — when the chosen placement
-                // differs — execute a priced migration.
-                EventKind::EpochBoundary => {
-                    let state = planner_state
-                        .as_mut()
-                        .expect("epoch events are scheduled only under auto-placement");
-                    let epoch_ms = state.planner.config.epoch_ms;
-                    let epoch_end = ev.at_ms;
-                    let now = calendar.min_unit_time_ms();
-                    let cum = releaser.count_generated_before(epoch_end);
-                    let count = cum - epoch_cum_start;
-                    epoch_cum_start = cum;
-                    let realized = count as f64 / (epoch_ms / 1000.0);
-                    let error =
-                        (realized - state.forecast_rps).abs() / state.forecast_rps.max(1e-9);
-                    state.report.epochs.push(EpochStat {
-                        start_ms: state.epoch_start_ms,
-                        forecast_rps: state.forecast_rps,
-                        realized_rps: realized,
-                        error,
-                    });
-                    // Every epoch boundary snapshots the registry into the
-                    // report time-series.
-                    debug_assert_eq!(
-                        inflight_rows,
-                        units
-                            .iter()
-                            .map(|u| u.leader().running.len() as i64)
-                            .sum::<i64>(),
-                        "incremental in-flight gauge drifted from the fleet"
-                    );
-                    series_rec.snapshot(
-                        epoch_end,
-                        [
-                            releaser.released() as u64,
-                            enqueued_total,
-                            sheds.len() as u64,
-                            degraded_requests as u64,
-                            completions.len() as u64,
-                            parks_total,
-                            resumes_total,
-                            drains_total,
-                            losts.len() as u64,
-                        ],
-                        [queue.len() as f64, inflight_rows as f64, epoch_end],
-                    );
-                    state.epoch_start_ms = epoch_end;
-                    // The chain self-schedules while it stays inside the
-                    // arrival horizon.
-                    let next_end = epoch_end + epoch_ms;
-                    if next_end <= trace.horizon_ms {
-                        calendar.schedule_epoch(next_end);
-                    }
-                    // Hysteresis: small errors keep the placement and the
-                    // forecast; an empty epoch carries no load signal.
-                    if error <= state.planner.config.hysteresis || realized <= 0.0 {
-                        continue;
-                    }
-                    state.forecast_rps = realized;
-                    let outcome = state.planner.plan_timed(
-                        &self.config.hw,
-                        &trace.mix,
-                        realized,
-                        &mut self.cost,
-                        &mut planner_watch,
-                    );
-                    let new_placement = outcome.chosen.placement;
-                    if new_placement == placement {
-                        continue;
-                    }
-                    // Executed re-plan: drain, price, and swap the fleet
-                    // (shared with the fault arm's out-of-cadence re-plan).
-                    let replan = self.execute_migration(
-                        new_placement,
-                        now,
-                        &kinds,
-                        link_slowdown,
-                        &mut placement,
-                        &mut units,
-                        &mut units_birth,
-                        &mut retired,
-                        &mut next_id,
-                        &mut queue,
-                        &mut ctx,
-                        &mut calendar,
-                        &mut depth,
-                        &mut drains_total,
-                        &mut inflight_rows,
-                        &mut losts,
-                        &mut unit_attrib,
-                        &mut attrib,
-                        sink,
-                        traced,
-                    );
-                    let state = planner_state
-                        .as_mut()
-                        .expect("epoch events are scheduled only under auto-placement");
-                    state.report.replans.push(replan);
-                    state.report.final_placement = placement.summary();
-                }
-
-                // An injected fault or one of its paired follow-ups
-                // (recovery, link restore): the event's `unit` field
-                // indexes the runtime fault table.
-                EventKind::Fault => {
-                    match fault_table[ev.unit] {
-                        RuntimeFault::Inject(spec) => match spec.kind {
-                            FaultKind::UnitCrash { unit, repair_ms }
-                            | FaultKind::MemberLoss {
-                                unit, repair_ms, ..
-                            } => {
-                                if units.is_empty() {
-                                    faults_noop += 1;
-                                    continue;
-                                }
-                                let u = unit % units.len();
-                                if !calendar.is_unit_scheduled(u) {
-                                    // The slot retired (trace exhausted,
-                                    // nothing queued): there is nothing
-                                    // left to kill.
-                                    faults_noop += 1;
-                                    continue;
-                                }
-                                match spec.kind {
-                                    FaultKind::MemberLoss { member, .. } => {
-                                        units[u].mark_member_dead(member)
-                                    }
-                                    _ => units[u].mark_all_dead(),
-                                }
-                                let unit_stalls = unit_attrib
-                                    .get(u)
-                                    .map(|a| (a.coll_ms, a.refill_ms))
-                                    .unwrap_or((0.0, 0.0));
-                                let (requeued, lost) = teardown_dead_unit(
-                                    &mut units[u],
-                                    &mut queue,
-                                    &ctx,
-                                    ev.at_ms,
-                                    &mut depth,
-                                    &mut drains_total,
-                                    &mut inflight_rows,
-                                    &mut losts,
-                                    unit_stalls,
-                                    &mut attrib,
-                                    sink,
-                                    traced,
-                                );
-                                checkpointed_recoveries += requeued;
-                                faults_injected += 1;
-                                fault_records.push(FaultRecord {
-                                    at_ms: ev.at_ms,
-                                    kind: spec.kind.label().to_string(),
-                                    unit: u,
-                                    lost,
-                                    requeued,
-                                });
-                                if traced {
-                                    sink.instant(InstantMarker {
-                                        at_ms: ev.at_ms,
-                                        name: "fault",
-                                        detail: format!(
-                                            "{} unit {u} ({lost} lost, {requeued} requeued, \
-                                             repair {repair_ms} ms)",
-                                            spec.kind.label()
-                                        ),
-                                    });
-                                }
-                                // A gang missing a member stalls whole: the
-                                // unit retires at the fault (its in-flight
-                                // iteration never completes) and its
-                                // capacity rejoins after the repair delay.
-                                let death = units[u].now_ms().max(ev.at_ms);
-                                let recover_at = (ev.at_ms + repair_ms).max(death);
-                                degraded_windows.push((ev.at_ms, recover_at));
-                                if let Some(ab) = attrib.as_mut() {
-                                    ab.push_degraded_window(ev.at_ms, recover_at);
-                                }
-                                let auto_budget =
-                                    planner_state.as_ref().map(|s| s.planner.config.budget);
-                                if let Some(budget) = auto_budget {
-                                    // Auto placement: the dead unit's
-                                    // capacity leaves the planner's budget
-                                    // and an out-of-cadence re-plan
-                                    // re-places the surviving fleet around
-                                    // the hole.
-                                    let instances = units[u].members.len();
-                                    let reduced = budget.saturating_sub(instances);
-                                    if reduced == 0 {
-                                        // The dead unit *was* the fleet:
-                                        // nothing to re-place onto. Retire
-                                        // it; the queue strands and
-                                        // converts to lost after the loop.
-                                        let old = units.remove(u);
-                                        retired.push((old, units_birth.remove(u), death));
-                                        if !unit_attrib.is_empty() {
-                                            unit_attrib.remove(u);
-                                        }
-                                        calendar.unschedule_unit(u);
-                                        stranded_at = Some(death);
-                                        continue;
-                                    }
-                                    let outcome = {
-                                        let state = planner_state
-                                            .as_mut()
-                                            .expect("the static branch handled None");
-                                        state.planner.config.budget = reduced;
-                                        state.planner.plan_timed(
-                                            &self.config.hw,
-                                            &trace.mix,
-                                            state.forecast_rps,
-                                            &mut self.cost,
-                                            &mut planner_watch,
-                                        )
-                                    };
-                                    // No same-placement short-circuit here:
-                                    // the fleet must be rebuilt regardless,
-                                    // to clear the dead unit out of it.
-                                    let replan = self.execute_migration(
-                                        outcome.chosen.placement,
-                                        ev.at_ms,
-                                        &kinds,
-                                        link_slowdown,
-                                        &mut placement,
-                                        &mut units,
-                                        &mut units_birth,
-                                        &mut retired,
-                                        &mut next_id,
-                                        &mut queue,
-                                        &mut ctx,
-                                        &mut calendar,
-                                        &mut depth,
-                                        &mut drains_total,
-                                        &mut inflight_rows,
-                                        &mut losts,
-                                        &mut unit_attrib,
-                                        &mut attrib,
-                                        sink,
-                                        traced,
-                                    );
-                                    if let Some(state) = planner_state.as_mut() {
-                                        state.report.replans.push(replan);
-                                        state.report.final_placement = placement.summary();
-                                    }
-                                    replans_on_fault += 1;
-                                    fault_table.push(RuntimeFault::Recover {
-                                        crashed_at: ev.at_ms,
-                                        instances,
-                                    });
-                                    calendar.schedule_fault(recover_at, fault_table.len() - 1);
-                                } else {
-                                    // Static placement: the slot sleeps
-                                    // through its repair and a fresh unit
-                                    // of the same shape swaps in at the
-                                    // wake — the replacement's cold GSC
-                                    // books the recovery as refill bytes
-                                    // naturally.
-                                    let fresh = if units[u].is_sharded() {
-                                        let strategy = units[u].strategy();
-                                        let g = Gang::sharded(
-                                            next_id,
-                                            &self.config.hw,
-                                            self.config.eviction,
-                                            strategy,
-                                        );
-                                        next_id += strategy.degree();
-                                        g
-                                    } else {
-                                        let g = Gang::replica(
-                                            next_id,
-                                            &self.config.hw,
-                                            self.config.eviction,
-                                        );
-                                        next_id += 1;
-                                        g
-                                    };
-                                    let old = std::mem::replace(&mut units[u], fresh);
-                                    retired.push((old, units_birth[u], death));
-                                    units_birth[u] = recover_at;
-                                    units[u].jump_to(recover_at);
-                                    if let Some(a) = unit_attrib.get_mut(u) {
-                                        *a = UnitAttrib::new(&units[u]);
-                                    }
-                                    calendar.reschedule_unit(u, recover_at, EventKind::IdleWake);
-                                    if traced {
-                                        declare_unit_tracks(std::slice::from_ref(&units[u]), sink);
-                                    }
-                                    fault_table.push(RuntimeFault::Recover {
-                                        crashed_at: ev.at_ms,
-                                        instances: 0,
-                                    });
-                                    calendar.schedule_fault(recover_at, fault_table.len() - 1);
-                                }
-                            }
-                            FaultKind::LinkDegrade {
-                                slowdown,
-                                duration_ms,
-                            } => {
-                                link_slowdown *= slowdown;
-                                degraded_windows.push((ev.at_ms, ev.at_ms + duration_ms));
-                                if let Some(ab) = attrib.as_mut() {
-                                    ab.push_degraded_window(ev.at_ms, ev.at_ms + duration_ms);
-                                }
-                                ctx = self.sched_context(
-                                    &kinds,
-                                    &degraded_placement(&placement, link_slowdown),
-                                );
-                                faults_injected += 1;
-                                fault_records.push(FaultRecord {
-                                    at_ms: ev.at_ms,
-                                    kind: spec.kind.label().to_string(),
-                                    unit: usize::MAX,
-                                    lost: 0,
-                                    requeued: 0,
-                                });
-                                if traced {
-                                    sink.instant(InstantMarker {
-                                        at_ms: ev.at_ms,
-                                        name: "fault",
-                                        detail: format!(
-                                            "link degrade x{slowdown} for {duration_ms} ms"
-                                        ),
-                                    });
-                                }
-                                fault_table.push(RuntimeFault::LinkRestore { slowdown });
-                                calendar
-                                    .schedule_fault(ev.at_ms + duration_ms, fault_table.len() - 1);
-                            }
-                        },
-                        RuntimeFault::Recover {
-                            crashed_at,
-                            instances,
-                        } => {
-                            recoveries += 1;
-                            recover_ms_sum += ev.at_ms - crashed_at;
-                            if traced {
-                                sink.instant(InstantMarker {
-                                    at_ms: ev.at_ms,
-                                    name: "recover",
-                                    detail: format!(
-                                        "capacity restored after {:.1} ms",
-                                        ev.at_ms - crashed_at
-                                    ),
-                                });
-                            }
-                            if instances > 0 {
-                                // The repaired capacity rejoins the
-                                // planner's budget; a forced re-plan grows
-                                // the fleet back, booked as cold-GSC
-                                // refill on the new units.
-                                let outcome = match planner_state.as_mut() {
-                                    Some(state) => {
-                                        state.planner.config.budget += instances;
-                                        Some(state.planner.plan_timed(
-                                            &self.config.hw,
-                                            &trace.mix,
-                                            state.forecast_rps,
-                                            &mut self.cost,
-                                            &mut planner_watch,
-                                        ))
-                                    }
-                                    None => None,
-                                };
-                                let new_placement = outcome
-                                    .map(|o| o.chosen.placement)
-                                    .filter(|p| *p != placement);
-                                if let Some(new_placement) = new_placement {
-                                    let replan = self.execute_migration(
-                                        new_placement,
-                                        ev.at_ms,
-                                        &kinds,
-                                        link_slowdown,
-                                        &mut placement,
-                                        &mut units,
-                                        &mut units_birth,
-                                        &mut retired,
-                                        &mut next_id,
-                                        &mut queue,
-                                        &mut ctx,
-                                        &mut calendar,
-                                        &mut depth,
-                                        &mut drains_total,
-                                        &mut inflight_rows,
-                                        &mut losts,
-                                        &mut unit_attrib,
-                                        &mut attrib,
-                                        sink,
-                                        traced,
-                                    );
-                                    let state = planner_state.as_mut().expect("still auto-placed");
-                                    state.report.replans.push(replan);
-                                    state.report.final_placement = placement.summary();
-                                    replans_on_fault += 1;
-                                }
-                            }
-                        }
-                        RuntimeFault::LinkRestore { slowdown } => {
-                            link_slowdown /= slowdown;
-                            ctx = self.sched_context(
-                                &kinds,
-                                &degraded_placement(&placement, link_slowdown),
-                            );
-                            if traced {
-                                sink.instant(InstantMarker {
-                                    at_ms: ev.at_ms,
-                                    name: "recover",
-                                    detail: format!("link restored (/{slowdown})"),
-                                });
-                            }
-                        }
-                    }
-                }
-
-                // A unit's iteration boundary or idle wake: both were
-                // scheduled at the unit's (jumped) clock, so the clock and
-                // the event agree on "now".
+                EventKind::StatsSample => self.on_stats_sample(ev.at_ms),
+                EventKind::EpochBoundary => self.on_epoch_boundary(ev.at_ms),
+                EventKind::Fault => self.on_fault(ev.unit, ev.at_ms),
                 EventKind::UnitBoundary | EventKind::IdleWake => {
-                    let i = ev.unit;
-                    let now = units[i].now_ms();
-                    debug_assert_eq!(
-                        now.to_bits(),
-                        ev.at_ms.to_bits(),
-                        "unit clock drifted from its scheduled event"
-                    );
-                    // Attribution's batch-join "door floor": a request
-                    // admitted at this event could not have joined before
-                    // the unit's previous boundary — queue wait up to that
-                    // door, batch-join wait from it.
-                    let door_floor = match unit_attrib.get_mut(i) {
-                        Some(a) => std::mem::replace(&mut a.prev_boundary_ms, now),
-                        None => now,
-                    };
-
-                    // Release arrivals up to this unit's clock, consulting the
-                    // admission controller once per arrival. The decision fires at
-                    // the *release* instant (the iteration boundary whose clock
-                    // passed the arrival) — up to one iteration after arrival — so
-                    // the view carries that clock and feasibility sees the slack
-                    // that actually remains, not the full SLO.
-                    while let Some((id, a)) = releaser.release_through(now) {
-                        let &(slo_ms, steps) = request_proto
-                            .get(&a.model)
-                            .expect("every traced model kind is precomputed");
-                        let mut r = Request::new(id, a.model, a.at_ms, slo_ms, steps);
-                        let decided_at = now.max(r.arrival_ms);
-                        let decision = {
-                            let view =
-                                AdmissionView::new(decided_at, queue.as_slice(), &units, &ctx)
-                                    .with_index(queue.backlog());
-                            admission.decide(&r, &view)
-                        };
-                        if traced {
-                            sink.span(SpanRecord {
-                                at_ms: r.arrival_ms,
-                                request: r.id,
-                                model: r.model.name(),
-                                event: RequestEvent::Arrival,
-                            });
-                        }
-                        match decision {
-                            AdmissionDecision::Accept => {
-                                if traced {
-                                    sink.span(SpanRecord {
-                                        at_ms: decided_at,
-                                        request: r.id,
-                                        model: r.model.name(),
-                                        event: RequestEvent::Admitted,
-                                    });
-                                }
-                            }
-                            AdmissionDecision::Degrade { steps } => {
-                                r.degrade_to(steps);
-                                if r.degraded {
-                                    degraded_requests += 1;
-                                }
-                                if traced {
-                                    let event = if r.degraded {
-                                        RequestEvent::Degraded {
-                                            steps: r.total_steps as u32,
-                                        }
-                                    } else {
-                                        RequestEvent::Admitted
-                                    };
-                                    sink.span(SpanRecord {
-                                        at_ms: decided_at,
-                                        request: r.id,
-                                        model: r.model.name(),
-                                        event,
-                                    });
-                                }
-                            }
-                            AdmissionDecision::Shed => {
-                                // Priced refusal: recorded (and counted against SLO
-                                // attainment), but the request never queues.
-                                sheds.push(ShedRecord {
-                                    id: r.id,
-                                    model: r.model,
-                                    at_ms: decided_at,
-                                });
-                                if let Some(ab) = attrib.as_mut() {
-                                    ab.shed(r.id, r.model, r.arrival_ms, r.slo_ms, decided_at);
-                                }
-                                if traced {
-                                    sink.span(SpanRecord {
-                                        at_ms: decided_at,
-                                        request: r.id,
-                                        model: r.model.name(),
-                                        event: RequestEvent::Shed,
-                                    });
-                                }
-                                continue;
-                            }
-                        }
-                        if let Some(ab) = attrib.as_mut() {
-                            ab.admit(r.id, r.model, r.arrival_ms, r.slo_ms, decided_at);
-                        }
-                        depth.stamp(r.arrival_ms, 1);
-                        enqueued_total += 1;
-                        if traced {
-                            sink.span(SpanRecord {
-                                at_ms: decided_at,
-                                request: r.id,
-                                model: r.model.name(),
-                                event: RequestEvent::Enqueued,
-                            });
-                        }
-                        queue.push(r, &ctx);
-                    }
-
-                    if units[i].is_idle() && queue.is_empty() {
-                        match releaser.peek_at_ms() {
-                            Some(wake) => {
-                                // Sleep until the next arrival: the unit holds no
-                                // calendar entry before its wake.
-                                if traced && wake > now {
-                                    emit_idle_slices(&units[i], wake, sink);
-                                }
-                                units[i].jump_to(wake);
-                                calendar.schedule_unit(i, wake, EventKind::IdleWake);
-                            }
-                            None => {
-                                // Trace exhausted and nothing queued: the unit
-                                // retires with no further event, and the run ends
-                                // when the last one does.
-                                units[i].jump_to(f64::INFINITY);
-                            }
-                        }
-                        continue;
-                    }
-
-                    // Iteration boundary: admit (possibly preempting), then execute
-                    // one iteration.
-                    units[i].admit_into(&mut queue, &ctx, &mut boundary_outcome);
-                    let outcome = &boundary_outcome;
-                    parks_total += outcome.parked.len() as u64;
-                    resumes_total += outcome.resumed.len() as u64;
-                    inflight_rows += outcome.inflight_delta();
-                    if traced {
-                        let inst = units[i].leader().id as u32;
-                        for &(id, at_ms) in &outcome.parked {
-                            // The park pushed the request back into the queue; read
-                            // its model (and the member actually holding the latent)
-                            // from there.
-                            let (model, holder) = queue
-                                .get(id)
-                                .map(|r| {
-                                    (
-                                        r.model.name(),
-                                        r.parked_on.map(|p| p as u32).unwrap_or(inst),
-                                    )
-                                })
-                                .unwrap_or(("unknown", inst));
-                            sink.span(SpanRecord {
-                                at_ms,
-                                request: id,
-                                model,
-                                event: RequestEvent::Parked { instance: holder },
-                            });
-                        }
-                        let model = units[i]
-                            .leader()
-                            .active_model
-                            .map(|m| m.name())
-                            .unwrap_or("unknown");
-                        for &(id, at_ms) in &outcome.admitted {
-                            let resumed = outcome.resumed.iter().any(|&(rid, _)| rid == id);
-                            let event = if resumed {
-                                RequestEvent::Resumed { instance: inst }
-                            } else {
-                                RequestEvent::BatchJoin { instance: inst }
-                            };
-                            sink.span(SpanRecord {
-                                at_ms,
-                                request: id,
-                                model,
-                                event,
-                            });
-                        }
-                    }
-                    for &(_, at_ms) in &outcome.parked {
-                        depth.stamp(at_ms, 1);
-                    }
-                    for &(_, at_ms) in &outcome.admitted {
-                        depth.stamp(at_ms, -1);
-                    }
-                    if let Some(ab) = attrib.as_mut() {
-                        let ua = &unit_attrib[i];
-                        for &(id, at_ms) in &outcome.parked {
-                            ab.park(id, at_ms, ua.coll_ms, ua.refill_ms);
-                        }
-                        for &(id, at_ms) in &outcome.admitted {
-                            ab.join(id, at_ms, door_floor, ua.coll_ms, ua.refill_ms);
-                        }
-                    }
-                    // A request parked on one unit may resume on another; release
-                    // any latent copy the parking unit still holds (billing the
-                    // migration write-back there) so it neither depresses that
-                    // unit's weight residency nor is later mispriced as a dirty
-                    // spill. Only resumes can hold a foreign latent — a fresh
-                    // admit never parked anywhere — so the cross-unit sweep skips
-                    // the fleet-dominant fresh case.
-                    if !outcome.resumed.is_empty() {
-                        for (j, other) in units.iter_mut().enumerate() {
-                            if j == i {
-                                continue;
-                            }
-                            let before = other.now_ms();
-                            for &(id, _) in &outcome.resumed {
-                                other.discard_latent(id, &ctx);
-                            }
-                            // Discarding a latent bills the write-back transfer to
-                            // the unit that held it, advancing its clock; its
-                            // calendar entry must follow or it fires in the past.
-                            let after = other.now_ms();
-                            if after > before && calendar.is_unit_scheduled(j) {
-                                calendar.reschedule_unit(j, after, EventKind::UnitBoundary);
-                            }
-                        }
-                    }
-                    // Parks can evict other parked latents; their queued requests'
-                    // resume-affinity hints are now stale (the latent is in DRAM,
-                    // no instance is preferable) and must not keep deferring them.
-                    for id in units[i].take_evicted_latents() {
-                        queue.clear_parked_hint(id);
-                    }
-                    if units[i].is_idle() {
-                        // A sparsity gate cannot block an idle unit, so nothing
-                        // in the queue is admissible yet: every queued request is a
-                        // parked one whose ready time lies ahead of this clock.
-                        // Sleep until the earliest wake-up (a parked request
-                        // becoming ready, or the next arrival); the calendar holds
-                        // no other entry for this unit, so no busy-wake fallback
-                        // is needed.
-                        // No fresh request can be queued here (fresh
-                        // requests are always admissible, and the admit
-                        // above left the unit idle), so the deferred
-                        // minimum is the queue minimum.
-                        debug_assert!(queue.fresh_buckets().all(|(_, b)| b.is_empty()));
-                        let next_ready = queue.min_deferred_ready_ms();
-                        let next_arr = releaser.peek_at_ms().unwrap_or(f64::INFINITY);
-                        // The queue is non-empty here (the empty case slept
-                        // above), so the wake target is finite.
-                        let wake = next_ready.min(next_arr);
-                        if traced && wake > now {
-                            emit_idle_slices(&units[i], wake, sink);
-                        }
-                        units[i].jump_to(wake);
-                        calendar.schedule_unit(i, wake, EventKind::IdleWake);
-                        continue;
-                    }
-                    let iter_start = units[i].now_ms();
-                    let (coll_ms_before, _) = if traced {
-                        units[i].collective_totals()
-                    } else {
-                        (0.0, 0)
-                    };
-                    let refill_before = if traced {
-                        units[i].member_refill_bytes()
-                    } else {
-                        Vec::new()
-                    };
-                    let batch = units[i].leader().running.len() as u32;
-                    boundary_done.clear();
-                    units[i].execute_iteration_into(&mut self.cost, &ctx, &mut boundary_done);
-                    executed_iterations += 1;
-                    if traced {
-                        let iter_end = units[i].now_ms();
-                        let dur_ms = iter_end - iter_start;
-                        let (coll_ms_after, _) = units[i].collective_totals();
-                        let coll_ms = (coll_ms_after - coll_ms_before).min(dur_ms);
-                        let refill_after = units[i].member_refill_bytes();
-                        let label = units[i]
-                            .leader()
-                            .active_model
-                            .map(|m| m.name())
-                            .unwrap_or("iteration");
-                        for (slot, m) in units[i].members.iter().enumerate() {
-                            if dur_ms > 0.0 {
-                                sink.slice(TimelineSlice {
-                                    instance: m.id as u32,
-                                    kind: SliceKind::Busy,
-                                    start_ms: iter_start,
-                                    dur_ms,
-                                    label,
-                                    batch,
-                                });
-                            }
-                            // Weight-refill traffic this iteration, priced at DRAM
-                            // bandwidth and drawn nested at the head of the slice.
-                            let refill_bytes = refill_after[slot].1 - refill_before[slot].1;
-                            if refill_bytes > 0 {
-                                let refill_ms = ctx.transfer_ms(refill_bytes).min(dur_ms);
-                                if refill_ms > 0.0 {
-                                    sink.slice(TimelineSlice {
-                                        instance: m.id as u32,
-                                        kind: SliceKind::Refill,
-                                        start_ms: iter_start,
-                                        dur_ms: refill_ms,
-                                        label: "weight refill",
-                                        batch,
-                                    });
-                                }
-                            }
-                            // Collective time is charged at the tail of the
-                            // iteration (activations sync before the boundary).
-                            if coll_ms > 0.0 {
-                                sink.slice(TimelineSlice {
-                                    instance: m.id as u32,
-                                    kind: SliceKind::Collective,
-                                    start_ms: iter_end - coll_ms,
-                                    dur_ms: coll_ms,
-                                    label: "collective",
-                                    batch,
-                                });
-                            }
-                        }
-                        let inst = units[i].leader().id as u32;
-                        for r in &units[i].leader().running {
-                            sink.span(SpanRecord {
-                                at_ms: iter_end,
-                                request: r.id,
-                                model: r.model.name(),
-                                event: RequestEvent::Iteration {
-                                    instance: inst,
-                                    step: r.steps_done as u32,
-                                },
-                            });
-                        }
-                        for c in &boundary_done {
-                            sink.span(SpanRecord {
-                                at_ms: c.finished_ms,
-                                request: c.id,
-                                model: c.model.name(),
-                                event: RequestEvent::Completed {
-                                    instance: c.instance as u32,
-                                },
-                            });
-                        }
-                        // Counter tracks beside the slices: cluster queue
-                        // depth, this unit's in-flight rows, and its GSC
-                        // occupancy at the iteration end — the "why did
-                        // that busy slice stall" context in the export.
-                        sink.counter(CounterSample {
-                            instance: CounterSample::CLUSTER,
-                            at_ms: iter_end,
-                            name: "queue depth",
-                            value: queue.len() as f64,
-                        });
-                        sink.counter(CounterSample {
-                            instance: inst,
-                            at_ms: iter_end,
-                            name: "inflight rows",
-                            value: units[i].leader().running.len() as f64,
-                        });
-                        sink.counter(CounterSample {
-                            instance: inst,
-                            at_ms: iter_end,
-                            name: "gsc bytes",
-                            value: units[i].resident_bytes() as f64,
-                        });
-                    }
-                    if let Some(ab) = attrib.as_mut() {
-                        // Fold the executed iteration into the unit's
-                        // stall clocks, then close the finishers' in-batch
-                        // segments against the updated cumulatives.
-                        unit_attrib[i].after_iteration(&units[i], &ctx, iter_start);
-                        let ua = &unit_attrib[i];
-                        for c in &boundary_done {
-                            ab.complete(
-                                c.id,
-                                c.finished_ms,
-                                ua.coll_ms,
-                                ua.refill_ms,
-                                !c.within_slo(),
-                            );
-                        }
-                    }
-                    for c in &boundary_done {
-                        latency_hist.record(c.latency_ms());
-                        queue_hist.record(c.queue_ms());
-                    }
-                    inflight_rows -= boundary_done.len() as i64;
-                    completions.append(&mut boundary_done);
-                    // Weight refills can evict parked latents too.
-                    for id in units[i].take_evicted_latents() {
-                        queue.clear_parked_hint(id);
-                    }
-                    // Opt-in periodic checkpoint: each running request at a
-                    // multiple of the policy period parks a DRAM copy of
-                    // its latent — a priced spill transfer on this unit's
-                    // clock — so a later fault requeues it from the
-                    // checkpoint instead of losing it.
-                    if let Some(policy) = checkpoint {
-                        let (spills, bytes) = units[i].checkpoint_running(&ctx, policy.every_steps);
-                        checkpoint_spills += spills;
-                        checkpoint_bytes += bytes;
-                    }
-                    // The executed iteration advanced this unit's clock; its next
-                    // boundary is its next event.
-                    calendar.schedule_unit(i, units[i].now_ms(), EventKind::UnitBoundary);
+                    self.on_unit_event(ev.unit, ev.at_ms)
                 }
             }
         }
-
         // A fleet that died un-recoverably strands whatever was queued:
         // those requests are lost, which keeps conservation over released
         // arrivals (`served + shed + lost == arrivals`) intact.
-        if let Some(at_ms) = stranded_at {
-            let stranded: Vec<u64> = queue.iter().map(|r| r.id).collect();
+        if let Some(at_ms) = self.stranded_at {
+            let stranded: Vec<u64> = self.queue.iter().map(|r| r.id).collect();
             for id in stranded {
-                if let Some(r) = queue.remove_by_id(id, &ctx) {
-                    depth.stamp(at_ms, -1);
-                    losts.push(LostRecord {
-                        id: r.id,
-                        model: r.model,
-                        at_ms,
-                        steps_lost: r.steps_done,
-                    });
-                    if let Some(ab) = attrib.as_mut() {
-                        ab.lost(r.id, at_ms);
-                    }
-                    if traced {
-                        sink.span(SpanRecord {
-                            at_ms,
-                            request: r.id,
-                            model: r.model.name(),
-                            event: RequestEvent::Lost,
-                        });
-                    }
+                if let Some(r) = self.queue.remove_by_id(id, &self.ctx) {
+                    self.depth.stamp(at_ms, -1);
+                    self.lose(&r, at_ms);
                 }
             }
         }
+        self.finish()
+    }
 
-        completions.sort_by_key(|c| c.id);
-        // Retired pre-migration units carry real work: their accounting
-        // joins the final units' in the report, each over its own live
-        // window (birth to death; the final units live to the makespan).
-        retired.extend(
-            units
-                .into_iter()
-                .zip(units_birth)
-                .map(|(u, birth)| (u, birth, f64::INFINITY)),
-        );
-        let makespan_ms = completions
-            .iter()
-            .map(|c| c.finished_ms)
-            .fold(0.0, f64::max);
-        self.last_profile = Some(RunProfile {
-            wall_ms: run_start.elapsed().as_secs_f64() * 1e3,
-            planner_wall_ms: planner_watch.wall_ms(),
-            planner_calls: planner_watch.laps(),
-            iterations: executed_iterations,
-            events_executed,
-            peak_calendar_events: calendar.peak_len(),
-            makespan_ms,
-            completed: completions.len(),
+    /// Fixed-cadence registry snapshot (when configured). Pure
+    /// observation — nothing feeds back into the run — so it ranks
+    /// before same-instant epoch and unit events.
+    fn on_stats_sample(&mut self, at_ms: f64) {
+        self.snapshot_series(at_ms);
+        let interval = self
+            .sim
+            .config
+            .stats_interval_ms
+            .expect("sampling only runs when configured");
+        self.calendar.schedule_stats(at_ms + interval);
+    }
+
+    /// Planner epoch end (auto-placement only). The heap cannot surface
+    /// this before every scheduled unit event lies at or past it, so it
+    /// fires exactly when the cluster-wide minimum clock passes the
+    /// boundary — record realized-vs-forecast load and snapshot the
+    /// series; past the hysteresis threshold, adopt the realized load and
+    /// re-plan.
+    fn on_epoch_boundary(&mut self, epoch_end: f64) {
+        let now = self.calendar.min_unit_time_ms();
+        let cum = self.releaser.count_generated_before(epoch_end);
+        let count = cum - self.epoch_cum_start;
+        self.epoch_cum_start = cum;
+        self.snapshot_series(epoch_end);
+        let state = self
+            .planner
+            .as_mut()
+            .expect("epoch events are scheduled only under auto-placement");
+        let epoch_ms = state.planner.config.epoch_ms;
+        let realized = count as f64 / (epoch_ms / 1000.0);
+        let error = (realized - state.forecast_rps).abs() / state.forecast_rps.max(1e-9);
+        state.report.epochs.push(EpochStat {
+            start_ms: state.epoch_start_ms,
+            forecast_rps: state.forecast_rps,
+            realized_rps: realized,
+            error,
         });
-        let depth_stats = depth.finish(makespan_ms);
-        // Fault report: assembled only when something could have differed
-        // from a fault-free run (a non-empty plan, or an active checkpoint
-        // policy whose spills should be visible).
-        let fault = if chaos || checkpoint.is_some() {
-            // Attainment under failure: SLO attainment over the requests
-            // that arrived inside a degraded window (crash-to-recovery,
-            // degrade-to-restore), plus every lost request — a direct
-            // fault casualty regardless of when it arrived.
-            let in_window = |t: f64| degraded_windows.iter().any(|&(a, b)| t >= a && t < b);
-            let mut win_answered = 0usize;
-            let mut win_within = 0usize;
-            for c in &completions {
-                if in_window(c.arrival_ms) {
-                    win_answered += 1;
-                    if c.within_slo() {
-                        win_within += 1;
+        state.epoch_start_ms = epoch_end;
+        // The chain self-schedules while it stays inside the arrival
+        // horizon.
+        let next_end = epoch_end + epoch_ms;
+        if next_end <= self.trace.horizon_ms {
+            self.calendar.schedule_epoch(next_end);
+        }
+        // Hysteresis: small errors keep the placement and the forecast;
+        // an empty epoch carries no load signal.
+        if error <= state.planner.config.hysteresis || realized <= 0.0 {
+            return;
+        }
+        state.forecast_rps = realized;
+        self.replan(now, false);
+    }
+
+    /// An injected fault or one of its paired follow-ups (recovery, link
+    /// restore); `index` points into the runtime fault table.
+    fn on_fault(&mut self, index: usize, at_ms: f64) {
+        match self.fault_table[index] {
+            RuntimeFault::Inject(spec) => match spec.kind {
+                FaultKind::UnitCrash { unit, repair_ms }
+                | FaultKind::MemberLoss {
+                    unit, repair_ms, ..
+                } => self.kill_unit(spec.kind, unit, repair_ms, at_ms),
+                FaultKind::LinkDegrade {
+                    slowdown,
+                    duration_ms,
+                } => {
+                    self.link_windows.push((index, slowdown));
+                    self.open_degraded_window(at_ms, at_ms + duration_ms);
+                    self.rebuild_ctx();
+                    self.fault.faults_injected += 1;
+                    self.fault.records.push(FaultRecord {
+                        at_ms,
+                        kind: spec.kind.label().to_string(),
+                        unit: usize::MAX,
+                        lost: 0,
+                        requeued: 0,
+                    });
+                    self.instant(at_ms, "fault", || {
+                        format!("link degrade x{slowdown} for {duration_ms} ms")
+                    });
+                    self.fault_table
+                        .push(RuntimeFault::LinkRestore { opened: index });
+                    let restore = self.fault_table.len() - 1;
+                    self.calendar.schedule_fault(at_ms + duration_ms, restore);
+                }
+            },
+            RuntimeFault::Recover {
+                crashed_at,
+                instances,
+            } => {
+                self.fault.recoveries += 1;
+                // Summed here; `finish` divides it into the mean.
+                self.fault.mean_time_to_recover_ms += at_ms - crashed_at;
+                self.instant(at_ms, "recover", || {
+                    format!("capacity restored after {:.1} ms", at_ms - crashed_at)
+                });
+                if instances > 0 {
+                    // The repaired capacity rejoins the planner's budget,
+                    // and a re-plan may grow the fleet back, booked as
+                    // cold-GSC refill on the new units.
+                    let state = self
+                        .planner
+                        .as_mut()
+                        .expect("only auto-placement restores budget");
+                    state.planner.config.budget += instances;
+                    if self.replan(at_ms, false) {
+                        self.fault.replans_triggered += 1;
                     }
                 }
             }
-            win_answered += sheds.iter().filter(|s| in_window(s.at_ms)).count();
-            win_answered += losts.len();
-            Some(FaultReport {
-                faults_injected,
-                faults_noop,
-                lost_requests: losts.len(),
-                checkpointed_recoveries,
-                checkpoint_spills,
-                checkpoint_bytes,
-                replans_triggered: replans_on_fault,
-                recoveries,
-                mean_time_to_recover_ms: if recoveries > 0 {
-                    recover_ms_sum / recoveries as f64
-                } else {
-                    0.0
-                },
-                attainment_under_failure: if win_answered > 0 {
-                    win_within as f64 / win_answered as f64
-                } else {
-                    0.0
-                },
-                records: fault_records,
-            })
-        } else {
-            None
+            RuntimeFault::LinkRestore { opened } => {
+                let pos = self
+                    .link_windows
+                    .iter()
+                    .position(|&(i, _)| i == opened)
+                    .expect("a restore closes an open window");
+                let (_, slowdown) = self.link_windows.remove(pos);
+                self.rebuild_ctx();
+                self.instant(at_ms, "recover", || format!("link restored (/{slowdown})"));
+            }
+        }
+    }
+
+    /// A unit crash or gang-member loss on unit slot `unit` (modulo the
+    /// live fleet). The unit retires at the fault — its in-flight
+    /// iteration never completes — and its capacity rejoins after
+    /// `repair_ms`: under auto-placement the planner re-places the
+    /// surviving fleet around the hole; under static placement the slot
+    /// sleeps through the repair and a fresh unit of the same shape swaps
+    /// in at the wake.
+    fn kill_unit(&mut self, kind: FaultKind, unit: usize, repair_ms: f64, at_ms: f64) {
+        if self.units.is_empty() {
+            self.fault.faults_noop += 1;
+            return;
+        }
+        let u = unit % self.units.len();
+        if !self.calendar.is_unit_scheduled(u) {
+            // The slot retired (trace exhausted, nothing queued): there
+            // is nothing left to kill.
+            self.fault.faults_noop += 1;
+            return;
+        }
+        match kind {
+            FaultKind::MemberLoss { member, .. } => self.units[u].mark_member_dead(member),
+            _ => self.units[u].mark_all_dead(),
+        }
+        let (requeued, lost) = self.teardown(u, at_ms);
+        self.fault.checkpointed_recoveries += requeued;
+        self.fault.faults_injected += 1;
+        self.fault.records.push(FaultRecord {
+            at_ms,
+            kind: kind.label().to_string(),
+            unit: u,
+            lost,
+            requeued,
+        });
+        self.instant(at_ms, "fault", || {
+            format!(
+                "{} unit {u} ({lost} lost, {requeued} requeued, repair {repair_ms} ms)",
+                kind.label()
+            )
+        });
+        let death = self.units[u].now_ms().max(at_ms);
+        let recover_at = (at_ms + repair_ms).max(death);
+        self.open_degraded_window(at_ms, recover_at);
+        let instances = match self.planner.as_mut() {
+            Some(state) => {
+                // The dead unit's capacity leaves the planner's budget.
+                let instances = self.units[u].members.len();
+                let reduced = state.planner.config.budget.saturating_sub(instances);
+                if reduced == 0 {
+                    // The dead unit *was* the fleet: nothing to re-place
+                    // onto. Retire it; the queue strands and converts to
+                    // lost after the loop.
+                    let old = self.units.remove(u);
+                    self.retired.push((old, self.units_birth.remove(u), death));
+                    if !self.unit_attrib.is_empty() {
+                        self.unit_attrib.remove(u);
+                    }
+                    self.calendar.unschedule_unit(u);
+                    self.stranded_at = Some(death);
+                    return;
+                }
+                state.planner.config.budget = reduced;
+                // Forced: the fleet must be rebuilt regardless, to clear
+                // the dead unit out of it.
+                self.replan(at_ms, true);
+                self.fault.replans_triggered += 1;
+                instances
+            }
+            None => {
+                // The replacement's cold GSC books the recovery as refill
+                // bytes naturally.
+                let fresh = self.new_unit(self.units[u].strategy());
+                let old = std::mem::replace(&mut self.units[u], fresh);
+                self.retired.push((old, self.units_birth[u], death));
+                self.units_birth[u] = recover_at;
+                self.units[u].jump_to(recover_at);
+                if let Some(a) = self.unit_attrib.get_mut(u) {
+                    *a = UnitAttrib::new(&self.units[u]);
+                }
+                self.calendar
+                    .reschedule_unit(u, recover_at, EventKind::IdleWake);
+                if self.traced {
+                    declare_unit_tracks(std::slice::from_ref(&self.units[u]), self.sink);
+                }
+                0
+            }
         };
-        self.report(
-            trace,
-            releaser.released(),
-            completions,
-            sheds,
-            losts,
-            degraded_requests,
-            depth_stats,
-            &retired,
-            &placement,
-            planner_state.map(|s| s.report),
-            fault,
-            attrib.map(AttributionBuilder::finish),
-            &latency_hist,
-            &queue_hist,
-            series_rec.into_series(),
-        )
+        self.fault_table.push(RuntimeFault::Recover {
+            crashed_at: at_ms,
+            instances,
+        });
+        let recover = self.fault_table.len() - 1;
+        self.calendar.schedule_fault(recover_at, recover);
+    }
+
+    /// Applies a fault's destruction semantics to unit `u`, already
+    /// marked dead: drains its batch (checkpointed requests requeue with
+    /// their steps rolled back, the rest are lost) and resolves every
+    /// queued request whose parked latent lives on this unit — survivors
+    /// of a member loss write the latent back to DRAM (priced on the
+    /// holding member), while a latent on a dead member is gone and its
+    /// request restarts from a DRAM checkpoint or is lost. Returns
+    /// `(requeued, lost)` counts.
+    fn teardown(&mut self, u: usize, at_ms: f64) -> (usize, usize) {
+        let out = self.units[u].drain_for_migration(&mut self.queue, &self.ctx, at_ms);
+        self.inflight_rows -= (out.requeued.len() + out.lost.len()) as i64;
+        for &(id, t) in &out.requeued {
+            self.requeue(u, id, t, AttributionBuilder::fault_requeue);
+        }
+        for r in &out.lost {
+            self.lose(r, at_ms);
+        }
+        let (mut requeued, mut lost) = (out.requeued.len(), out.lost.len());
+        let unit = &self.units[u];
+        let dead_ids = unit.dead_member_ids();
+        let homed: Vec<(u64, usize)> = self
+            .queue
+            .iter()
+            .filter_map(|r| {
+                r.parked_on
+                    .filter(|p| unit.members.iter().any(|m| m.id == *p))
+                    .map(|p| (r.id, p))
+            })
+            .collect();
+        for (id, home) in homed {
+            if !dead_ids.contains(&home) {
+                self.units[u].discard_member_latent(home, id, &self.ctx);
+                self.queue.clear_parked_hint(id);
+                continue;
+            }
+            let mut r = self
+                .queue
+                .remove_by_id(id, &self.ctx)
+                .expect("listed from the queue above");
+            match r.checkpointed_steps {
+                Some(step) => {
+                    r.steps_done = step;
+                    r.parked_on = None;
+                    r.ready_ms = r.ready_ms.max(at_ms);
+                    requeued += 1;
+                    let (coll, refill) = self.unit_stalls(u);
+                    if let Some(ab) = self.attrib.as_mut() {
+                        ab.fault_requeue(r.id, at_ms, coll, refill);
+                    }
+                    self.queue.push(r, &self.ctx);
+                }
+                None => {
+                    lost += 1;
+                    self.depth.stamp(at_ms, -1);
+                    self.lose(&r, at_ms);
+                }
+            }
+        }
+        (requeued, lost)
+    }
+
+    /// A unit's iteration boundary or idle wake: both were scheduled at
+    /// the unit's (jumped) clock, so the clock and the event agree on
+    /// "now". Releases the arrivals the clock has passed, then admits
+    /// and executes one iteration — or puts the unit to sleep.
+    fn on_unit_event(&mut self, i: usize, at_ms: f64) {
+        let now = self.units[i].now_ms();
+        debug_assert_eq!(
+            now.to_bits(),
+            at_ms.to_bits(),
+            "unit clock drifted from its scheduled event"
+        );
+        // Attribution's batch-join "door floor": a request admitted at
+        // this event could not have joined before the unit's previous
+        // boundary — queue wait up to that door, batch-join wait from it.
+        let door_floor = match self.unit_attrib.get_mut(i) {
+            Some(a) => std::mem::replace(&mut a.prev_boundary_ms, now),
+            None => now,
+        };
+        self.release_arrivals(now);
+        if self.units[i].is_idle() && self.queue.is_empty() {
+            match self.releaser.peek_at_ms() {
+                // Sleep until the next arrival.
+                Some(wake) => self.sleep(i, wake),
+                // Trace exhausted and nothing queued: the unit retires
+                // with no further event, and the run ends when the last
+                // one does.
+                None => self.units[i].jump_to(f64::INFINITY),
+            }
+            return;
+        }
+        self.admit(i, door_floor);
+        if self.units[i].is_idle() {
+            // A sparsity gate cannot block an idle unit, so nothing in the
+            // queue is admissible yet: every queued request is a parked
+            // one whose ready time lies ahead of this clock (fresh
+            // requests are always admissible). Sleep until the earliest
+            // wake-up — a parked request becoming ready, or the next
+            // arrival; the queue is non-empty, so the target is finite.
+            debug_assert!(self.queue.fresh_buckets().all(|(_, b)| b.is_empty()));
+            let next_arrival = self.releaser.peek_at_ms().unwrap_or(f64::INFINITY);
+            let wake = self.queue.min_deferred_ready_ms().min(next_arrival);
+            self.sleep(i, wake);
+            return;
+        }
+        self.execute_iteration(i);
+    }
+
+    /// Releases arrivals up to `now`, consulting the admission controller
+    /// once per arrival. The decision fires at the *release* instant (the
+    /// iteration boundary whose clock passed the arrival) — up to one
+    /// iteration after arrival — so the view carries that clock and
+    /// feasibility sees the slack that actually remains, not the full SLO.
+    fn release_arrivals(&mut self, now: f64) {
+        while let Some((id, a)) = self.releaser.release_through(now) {
+            let &(slo_ms, steps) = self
+                .request_proto
+                .get(&a.model)
+                .expect("every traced model kind is precomputed");
+            let mut r = Request::new(id, a.model, a.at_ms, slo_ms, steps);
+            let decided_at = now.max(r.arrival_ms);
+            let view =
+                AdmissionView::new(decided_at, self.queue.as_slice(), &self.units, &self.ctx)
+                    .with_index(self.queue.backlog());
+            let decision = self.sim.config.admission.decide(&r, &view);
+            let model = r.model.name();
+            self.span(r.arrival_ms, id, model, RequestEvent::Arrival);
+            let admitted = match decision {
+                AdmissionDecision::Accept => RequestEvent::Admitted,
+                AdmissionDecision::Degrade { steps } => {
+                    r.degrade_to(steps);
+                    if r.degraded {
+                        self.degraded_requests += 1;
+                        RequestEvent::Degraded {
+                            steps: r.total_steps as u32,
+                        }
+                    } else {
+                        RequestEvent::Admitted
+                    }
+                }
+                AdmissionDecision::Shed => {
+                    // Priced refusal: recorded (and counted against SLO
+                    // attainment), but the request never queues.
+                    self.sheds.push(ShedRecord {
+                        id,
+                        model: r.model,
+                        at_ms: decided_at,
+                    });
+                    if let Some(ab) = self.attrib.as_mut() {
+                        ab.shed(id, r.model, r.arrival_ms, r.slo_ms, decided_at);
+                    }
+                    self.span(decided_at, id, model, RequestEvent::Shed);
+                    continue;
+                }
+            };
+            self.span(decided_at, id, model, admitted);
+            if let Some(ab) = self.attrib.as_mut() {
+                ab.admit(id, r.model, r.arrival_ms, r.slo_ms, decided_at);
+            }
+            self.depth.stamp(r.arrival_ms, 1);
+            self.enqueued_total += 1;
+            self.span(decided_at, id, model, RequestEvent::Enqueued);
+            self.queue.push(r, &self.ctx);
+        }
+    }
+
+    /// Iteration boundary: unit `i` admits from the queue (possibly
+    /// preempting), and the parks, resumes and joins feed every plane.
+    fn admit(&mut self, i: usize, door_floor: f64) {
+        self.units[i].admit_into(&mut self.queue, &self.ctx, &mut self.boundary_outcome);
+        let outcome = &self.boundary_outcome;
+        self.parks_total += outcome.parked.len() as u64;
+        self.resumes_total += outcome.resumed.len() as u64;
+        self.inflight_rows += outcome.inflight_delta();
+        if self.traced {
+            let inst = self.units[i].leader().id as u32;
+            for &(id, at_ms) in &outcome.parked {
+                // The park pushed the request back into the queue; read
+                // its model (and the member actually holding the latent)
+                // from there.
+                let (model, holder) = self.queue.get(id).map_or(("unknown", inst), |r| {
+                    (r.model.name(), r.parked_on.map_or(inst, |p| p as u32))
+                });
+                self.sink.span(SpanRecord {
+                    at_ms,
+                    request: id,
+                    model,
+                    event: RequestEvent::Parked { instance: holder },
+                });
+            }
+            let model = self.units[i]
+                .leader()
+                .active_model
+                .map_or("unknown", |m| m.name());
+            for &(id, at_ms) in &outcome.admitted {
+                let resumed = outcome.resumed.iter().any(|&(rid, _)| rid == id);
+                let event = if resumed {
+                    RequestEvent::Resumed { instance: inst }
+                } else {
+                    RequestEvent::BatchJoin { instance: inst }
+                };
+                self.sink.span(SpanRecord {
+                    at_ms,
+                    request: id,
+                    model,
+                    event,
+                });
+            }
+        }
+        for &(_, at_ms) in &outcome.parked {
+            self.depth.stamp(at_ms, 1);
+        }
+        for &(_, at_ms) in &outcome.admitted {
+            self.depth.stamp(at_ms, -1);
+        }
+        if let Some(ab) = self.attrib.as_mut() {
+            let ua = &self.unit_attrib[i];
+            for &(id, at_ms) in &outcome.parked {
+                ab.park(id, at_ms, ua.coll_ms, ua.refill_ms);
+            }
+            for &(id, at_ms) in &outcome.admitted {
+                ab.join(id, at_ms, door_floor, ua.coll_ms, ua.refill_ms);
+            }
+        }
+        // A request parked on one unit may resume on another; release any
+        // latent copy the parking unit still holds (billing the migration
+        // write-back there) so it neither depresses that unit's weight
+        // residency nor is later mispriced as a dirty spill. Only resumes
+        // can hold a foreign latent — a fresh admit never parked anywhere
+        // — so the cross-unit sweep skips the fleet-dominant fresh case.
+        if !outcome.resumed.is_empty() {
+            for (j, other) in self.units.iter_mut().enumerate() {
+                if j == i {
+                    continue;
+                }
+                let before = other.now_ms();
+                for &(id, _) in &outcome.resumed {
+                    other.discard_latent(id, &self.ctx);
+                }
+                // Discarding a latent bills the write-back transfer to the
+                // unit that held it, advancing its clock; its calendar
+                // entry must follow or it fires in the past.
+                let after = other.now_ms();
+                if after > before && self.calendar.is_unit_scheduled(j) {
+                    self.calendar
+                        .reschedule_unit(j, after, EventKind::UnitBoundary);
+                }
+            }
+        }
+        // Parks can evict other parked latents; their queued requests'
+        // resume-affinity hints are now stale (the latent is in DRAM, no
+        // instance is preferable) and must not keep deferring them.
+        for id in self.units[i].take_evicted_latents() {
+            self.queue.clear_parked_hint(id);
+        }
+    }
+
+    /// Executes one iteration of unit `i`'s batch and books it: timeline
+    /// slices, spans and counters, the attribution clocks, completions and
+    /// histograms, then the opt-in checkpoint and the unit's next boundary.
+    fn execute_iteration(&mut self, i: usize) {
+        let observed = self.traced || self.attrib.is_some();
+        let unit = &mut self.units[i];
+        let iter_start = unit.now_ms();
+        let batch = unit.leader().running.len() as u32;
+        if observed {
+            self.deltas.begin(unit);
+        }
+        self.boundary_done.clear();
+        unit.execute_iteration_into(&mut self.sim.cost, &self.ctx, &mut self.boundary_done);
+        self.executed_iterations += 1;
+        if observed {
+            self.deltas.end(unit);
+        }
+        if self.traced {
+            self.emit_iteration(i, iter_start, batch);
+        }
+        if let Some(ab) = self.attrib.as_mut() {
+            // Fold the executed iteration into the unit's stall clocks,
+            // then close the finishers' in-batch segments against the
+            // updated cumulatives.
+            let dur = (self.units[i].now_ms() - iter_start).max(0.0);
+            let ua = &mut self.unit_attrib[i];
+            ua.after_iteration(&self.deltas, &self.ctx, dur);
+            for c in &self.boundary_done {
+                ab.complete(
+                    c.id,
+                    c.finished_ms,
+                    ua.coll_ms,
+                    ua.refill_ms,
+                    !c.within_slo(),
+                );
+            }
+        }
+        for c in &self.boundary_done {
+            self.latency_hist.record(c.latency_ms());
+            self.queue_hist.record(c.queue_ms());
+        }
+        self.inflight_rows -= self.boundary_done.len() as i64;
+        self.completions.append(&mut self.boundary_done);
+        // Weight refills can evict parked latents too.
+        for id in self.units[i].take_evicted_latents() {
+            self.queue.clear_parked_hint(id);
+        }
+        // Opt-in periodic checkpoint: each running request at a multiple
+        // of the policy period parks a DRAM copy of its latent — a priced
+        // spill transfer on this unit's clock — so a later fault requeues
+        // it from the checkpoint instead of losing it.
+        if let Some(policy) = self.sim.config.checkpoint {
+            let (spills, bytes) = self.units[i].checkpoint_running(&self.ctx, policy.every_steps);
+            self.fault.checkpoint_spills += spills;
+            self.fault.checkpoint_bytes += bytes;
+        }
+        // The executed iteration advanced this unit's clock; its next
+        // boundary is its next event.
+        let next = self.units[i].now_ms();
+        self.calendar
+            .schedule_unit(i, next, EventKind::UnitBoundary);
+    }
+
+    /// Emits the telemetry of unit `i`'s just-executed iteration: busy,
+    /// refill and collective slices per member, one `Iteration` span per
+    /// running request and one `Completed` per finisher, and the queue
+    /// depth, in-flight and GSC counter tracks at the iteration end.
+    fn emit_iteration(&mut self, i: usize, iter_start: f64, batch: u32) {
+        let unit = &self.units[i];
+        let iter_end = unit.now_ms();
+        let dur_ms = iter_end - iter_start;
+        let coll_ms = self.deltas.coll_ms.min(dur_ms);
+        let label = unit.leader().active_model.map_or("iteration", |m| m.name());
+        for (m, &refill_bytes) in unit.members.iter().zip(&self.deltas.refill_bytes) {
+            let instance = m.id as u32;
+            if dur_ms > 0.0 {
+                self.sink.slice(TimelineSlice {
+                    instance,
+                    kind: SliceKind::Busy,
+                    start_ms: iter_start,
+                    dur_ms,
+                    label,
+                    batch,
+                });
+            }
+            // Weight-refill traffic this iteration, priced at DRAM
+            // bandwidth and drawn nested at the head of the slice.
+            if refill_bytes > 0 {
+                let refill_ms = self.ctx.transfer_ms(refill_bytes).min(dur_ms);
+                if refill_ms > 0.0 {
+                    self.sink.slice(TimelineSlice {
+                        instance,
+                        kind: SliceKind::Refill,
+                        start_ms: iter_start,
+                        dur_ms: refill_ms,
+                        label: "weight refill",
+                        batch,
+                    });
+                }
+            }
+            // Collective time is charged at the tail of the iteration
+            // (activations sync before the boundary).
+            if coll_ms > 0.0 {
+                self.sink.slice(TimelineSlice {
+                    instance,
+                    kind: SliceKind::Collective,
+                    start_ms: iter_end - coll_ms,
+                    dur_ms: coll_ms,
+                    label: "collective",
+                    batch,
+                });
+            }
+        }
+        let inst = unit.leader().id as u32;
+        for r in &unit.leader().running {
+            self.sink.span(SpanRecord {
+                at_ms: iter_end,
+                request: r.id,
+                model: r.model.name(),
+                event: RequestEvent::Iteration {
+                    instance: inst,
+                    step: r.steps_done as u32,
+                },
+            });
+        }
+        for c in &self.boundary_done {
+            self.sink.span(SpanRecord {
+                at_ms: c.finished_ms,
+                request: c.id,
+                model: c.model.name(),
+                event: RequestEvent::Completed {
+                    instance: c.instance as u32,
+                },
+            });
+        }
+        // Counter tracks beside the slices: cluster queue depth, this
+        // unit's in-flight rows, and its GSC occupancy at the iteration
+        // end — the "why did that busy slice stall" context in the export.
+        for (instance, name, value) in [
+            (
+                CounterSample::CLUSTER,
+                "queue depth",
+                self.queue.len() as f64,
+            ),
+            (inst, "inflight rows", unit.leader().running.len() as f64),
+            (inst, "gsc bytes", unit.resident_bytes() as f64),
+        ] {
+            self.sink.counter(CounterSample {
+                instance,
+                at_ms: iter_end,
+                name,
+                value,
+            });
+        }
+    }
+
+    /// Re-scores the planner at its current forecast and budget. When
+    /// the chosen placement differs from the deployed one — or `force`d:
+    /// a fault must clear a dead unit out regardless — migrates the
+    /// fleet to it at `at_ms` and books the priced [`ReplanEvent`].
+    /// Returns whether a migration ran.
+    fn replan(&mut self, at_ms: f64, force: bool) -> bool {
+        let state = self
+            .planner
+            .as_ref()
+            .expect("re-plans run only under auto-placement");
+        let chosen = state.plan(
+            &self.sim.config.hw,
+            &self.trace.mix,
+            &mut self.sim.cost,
+            &mut self.planner_watch,
+        );
+        if !force && chosen == self.placement {
+            return false;
+        }
+        let replan = self.migrate(chosen, at_ms);
+        let state = self.planner.as_mut().expect("still auto-placed");
+        state.report.replans.push(replan);
+        state.report.final_placement = self.placement.summary();
+        true
     }
 
     /// Executes a priced fleet migration to `new_placement`: drains every
     /// unit (in-flight requests park to DRAM and requeue with their steps
     /// intact; requests on a dead member are lost unless checkpointed),
-    /// clears stale resume-affinity hints, retires the old fleet, builds
-    /// and schedules the replacement at the hand-off instant, and
-    /// rebuilds the scheduling context. Returns the priced
-    /// [`ReplanEvent`]. Shared by the planner's epoch path and the fault
-    /// arm's out-of-cadence re-plans.
-    #[allow(clippy::too_many_arguments)]
-    fn execute_migration(
-        &mut self,
-        new_placement: Placement,
-        t_floor: f64,
-        kinds: &[ModelKind],
-        link_slowdown: f64,
-        placement: &mut Placement,
-        units: &mut Vec<Gang>,
-        units_birth: &mut Vec<f64>,
-        retired: &mut Vec<(Gang, f64, f64)>,
-        next_id: &mut usize,
-        queue: &mut ReadyQueue,
-        ctx: &mut SchedContext,
-        calendar: &mut EventCalendar,
-        depth: &mut DepthTracker,
-        drains_total: &mut u64,
-        inflight_rows: &mut i64,
-        losts: &mut Vec<LostRecord>,
-        unit_attrib: &mut Vec<UnitAttrib>,
-        attrib: &mut Option<AttributionBuilder>,
-        sink: &mut dyn Sink,
-        traced: bool,
-    ) -> ReplanEvent {
-        // Drain: every in-flight request is parked to DRAM (a priced
-        // latent write-back) and re-enters the queue with its DDIM step
-        // count intact. The new units take over once the slowest
-        // *draining* unit finishes — idle units' clocks are excluded from
-        // that hand-off point, because an idle clock may be an artificial
-        // jump (to the next arrival, or to infinity on a locally-drained
-        // tail) rather than real work, and maxing it in would stall — or
-        // with an infinite jump, strand — the drained requests. Dead
-        // units' clocks are excluded too: their in-flight iteration never
-        // completed.
+    /// clears stale resume-affinity hints, retires the old fleet, and
+    /// deploys the replacement at the hand-off instant.
+    fn migrate(&mut self, new_placement: Placement, t_floor: f64) -> ReplanEvent {
+        // The new units take over once the slowest *draining* unit
+        // finishes — idle units' clocks are excluded from that hand-off
+        // point, because an idle clock may be an artificial jump (to the
+        // next arrival, or to infinity on a locally-drained tail) rather
+        // than real work, and maxing it in would stall — or with an
+        // infinite jump, strand — the drained requests. Dead units' clocks
+        // are excluded too: their in-flight iteration never completed.
         let mut drained = 0usize;
         let mut t_start = t_floor;
-        for (u, unit) in units.iter_mut().enumerate() {
+        for u in 0..self.units.len() {
+            let unit = &mut self.units[u];
             let was_busy = !unit.is_idle() && !unit.any_dead();
             let drain_from = unit.now_ms();
-            let out = unit.drain_for_migration(queue, ctx, t_floor);
-            drained += out.requeued.len();
-            *drains_total += out.requeued.len() as u64;
-            *inflight_rows -= (out.requeued.len() + out.lost.len()) as i64;
+            let out = unit.drain_for_migration(&mut self.queue, &self.ctx, t_floor);
             if was_busy {
                 t_start = t_start.max(unit.now_ms());
             }
-            for &(_, at_ms) in &out.requeued {
-                depth.stamp(at_ms, 1);
-            }
-            if let Some(ab) = attrib.as_mut() {
-                let (ua_coll, ua_refill) = unit_attrib
-                    .get(u)
-                    .map(|a| (a.coll_ms, a.refill_ms))
-                    .unwrap_or((0.0, 0.0));
-                for &(id, at_ms) in &out.requeued {
-                    ab.drain_to_migration(id, at_ms, ua_coll, ua_refill);
-                }
-                for r in &out.lost {
-                    ab.lost(r.id, t_floor);
-                }
-            }
-            if traced {
-                let drain_ms = unit.now_ms() - drain_from;
-                if drain_ms > 0.0 {
-                    for m in &unit.members {
-                        sink.slice(TimelineSlice {
-                            instance: m.id as u32,
-                            kind: SliceKind::Drain,
-                            start_ms: drain_from,
-                            dur_ms: drain_ms,
-                            label: "drain",
-                            batch: out.requeued.len() as u32,
-                        });
-                    }
-                }
-                for &(id, at_ms) in &out.requeued {
-                    let model = queue.get(id).map(|r| r.model.name()).unwrap_or("unknown");
-                    sink.span(SpanRecord {
-                        at_ms,
-                        request: id,
-                        model,
-                        event: RequestEvent::Migrated,
+            let drain_ms = unit.now_ms() - drain_from;
+            if self.traced && drain_ms > 0.0 {
+                for m in &unit.members {
+                    self.sink.slice(TimelineSlice {
+                        instance: m.id as u32,
+                        kind: SliceKind::Drain,
+                        start_ms: drain_from,
+                        dur_ms: drain_ms,
+                        label: "drain",
+                        batch: out.requeued.len() as u32,
                     });
                 }
+            }
+            drained += out.requeued.len();
+            self.inflight_rows -= (out.requeued.len() + out.lost.len()) as i64;
+            for &(id, at_ms) in &out.requeued {
+                self.requeue(u, id, at_ms, AttributionBuilder::drain_to_migration);
             }
             // In-flight requests on a dead member with no DRAM checkpoint
-            // die with it — the third terminal outcome.
+            // die with it.
             for r in &out.lost {
-                losts.push(LostRecord {
-                    id: r.id,
-                    model: r.model,
-                    at_ms: t_floor,
-                    steps_lost: r.steps_done,
-                });
-                if traced {
-                    sink.span(SpanRecord {
-                        at_ms: t_floor,
-                        request: r.id,
-                        model: r.model.name(),
-                        event: RequestEvent::Lost,
-                    });
-                }
+                self.lose(r, t_floor);
             }
         }
         // Queued requests parked on a retiring member: the latent is
@@ -2350,9 +1900,9 @@ impl ServeSimulator {
         // affinity hint cleared — no instance of the new placement holds
         // it.
         let mut parked_homes: Vec<(u64, usize)> = Vec::new();
-        queue.take_parked_homes(&mut parked_homes);
+        self.queue.take_parked_homes(&mut parked_homes);
         for &(id, home) in &parked_homes {
-            for unit in units.iter_mut() {
+            for unit in self.units.iter_mut() {
                 // A dead member's latent cannot be written back — skipping
                 // it keeps a fault teardown from billing a transfer off
                 // hardware that no longer exists (the request itself was
@@ -2360,102 +1910,281 @@ impl ServeSimulator {
                 if unit.any_dead() && unit.dead_member_ids().contains(&home) {
                     continue;
                 }
-                unit.discard_member_latent(home, id, ctx);
+                unit.discard_member_latent(home, id, &self.ctx);
             }
         }
         // What the teardown walks away from: GSC-resident state the new
         // placement must re-stream as refill bytes.
-        let migration_bytes: u64 = units.iter().map(Gang::resident_bytes).sum();
+        let migration_bytes: u64 = self.units.iter().map(Gang::resident_bytes).sum();
         debug_assert!(t_start.is_finite(), "migration hand-off must be finite");
-        let replan = ReplanEvent {
-            at_ms: t_start,
-            from: placement.summary(),
-            to: new_placement.summary(),
-            migration_bytes,
-            drained_requests: drained,
-        };
-        if traced {
-            sink.instant(InstantMarker {
-                at_ms: t_start,
-                name: "replan",
-                detail: format!(
-                    "{} -> {} ({} drained, {} bytes)",
-                    placement.summary(),
-                    new_placement.summary(),
-                    drained,
-                    migration_bytes
-                ),
-            });
-        }
-        for (unit, birth) in units.drain(..).zip(units_birth.drain(..)) {
+        let (from, to) = (self.placement.summary(), new_placement.summary());
+        self.instant(t_start, "replan", || {
+            format!("{from} -> {to} ({drained} drained, {migration_bytes} bytes)")
+        });
+        for (unit, birth) in self.units.drain(..).zip(self.units_birth.drain(..)) {
             // A dead unit died at the fault instant, not the hand-off.
             let death = if unit.any_dead() {
                 unit.now_ms().max(t_floor).min(t_start)
             } else {
                 t_start
             };
-            retired.push((unit, birth, death));
+            self.retired.push((unit, birth, death));
         }
-        *placement = new_placement;
-        *units = build_units(
-            &new_placement,
-            &self.config.hw,
-            self.config.eviction,
-            next_id,
-        );
-        *units_birth = vec![t_start; units.len()];
-        for unit in units.iter_mut() {
-            unit.jump_to(t_start);
-        }
-        if attrib.is_some() {
-            *unit_attrib = units.iter().map(UnitAttrib::new).collect();
-        }
-        if traced {
-            declare_unit_tracks(units, sink);
-        }
-        // Invalidate the retired fleet's calendar entries and schedule the
-        // replacements' first boundaries at the hand-off instant.
-        calendar.reset_units(units.len());
-        for u in 0..units.len() {
-            calendar.schedule_unit(u, t_start, EventKind::UnitBoundary);
-        }
+        self.deploy(new_placement, t_start);
         // The partition strategy may have changed: rebuild the scheduling
         // constants before the new fleet's first boundary fires.
-        *ctx = self.sched_context(kinds, &degraded_placement(&new_placement, link_slowdown));
-        replan
+        self.rebuild_ctx();
+        ReplanEvent {
+            at_ms: t_start,
+            from,
+            to,
+            migration_bytes,
+            drained_requests: drained,
+        }
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn report(
-        &self,
-        trace: &TraceConfig,
-        arrivals: usize,
-        completions: Vec<Completion>,
-        sheds: Vec<ShedRecord>,
-        losts: Vec<LostRecord>,
-        degraded_requests: usize,
-        depth_stats: (f64, usize),
-        units: &[(Gang, f64, f64)],
-        placement: &Placement,
-        planner: Option<PlannerReport>,
-        fault: Option<FaultReport>,
-        attribution: Option<AttributionReport>,
-        latency_hist: &LogHistogram,
-        queue_hist: &LogHistogram,
-        series: Vec<MetricsSnapshot>,
-    ) -> ServeReport {
+    /// Builds `placement`'s units born at `at_ms`, gives each an
+    /// attribution clock and a timeline track, and schedules their first
+    /// boundaries (invalidating any retired fleet's calendar entries).
+    fn deploy(&mut self, placement: Placement, at_ms: f64) {
+        self.placement = placement;
+        let strategies = std::iter::repeat_n(PartitionStrategy::Replicated, placement.replicas)
+            .chain(std::iter::repeat_n(placement.strategy, placement.gangs));
+        let units: Vec<Gang> = strategies.map(|s| self.new_unit(s)).collect();
+        self.units = units;
+        self.units_birth = vec![at_ms; self.units.len()];
+        for unit in &mut self.units {
+            unit.jump_to(at_ms);
+        }
+        if self.attrib.is_some() {
+            self.unit_attrib = self.units.iter().map(UnitAttrib::new).collect();
+        }
+        if self.traced {
+            declare_unit_tracks(&self.units, self.sink);
+        }
+        self.calendar.reset_units(self.units.len());
+        for u in 0..self.units.len() {
+            self.calendar
+                .schedule_unit(u, at_ms, EventKind::UnitBoundary);
+        }
+    }
+
+    /// A fresh unit of `strategy` — a whole-model replica under
+    /// [`PartitionStrategy::Replicated`] — over the next free instance
+    /// ids.
+    fn new_unit(&mut self, strategy: PartitionStrategy) -> Gang {
+        let config = &self.sim.config;
+        let unit = Gang::sharded(self.next_id, &config.hw, config.eviction, strategy);
+        self.next_id += strategy.degree();
+        unit
+    }
+
+    /// Rebuilds the scheduling constants for the deployed placement over
+    /// the interconnect as the open link windows currently degrade it.
+    fn rebuild_ctx(&mut self) {
+        let slowdown: f64 = self.link_windows.iter().map(|&(_, s)| s).product();
+        let placement = degraded_placement(&self.placement, slowdown);
+        self.ctx = self.sim.sched_context(&self.kinds, &placement);
+    }
+
+    /// Unit `u`'s cumulative `(collective, refill)` stall milliseconds,
+    /// as its attribution clock has them (zero with attribution off).
+    fn unit_stalls(&self, u: usize) -> (f64, f64) {
+        self.unit_attrib
+            .get(u)
+            .map_or((0.0, 0.0), |a| (a.coll_ms, a.refill_ms))
+    }
+
+    /// A request drained off unit `u` re-entered the queue at `at_ms`:
+    /// counted as a drain, stamped into the depth, its open attribution
+    /// segment closed by `book` (a migration drain or a fault requeue),
+    /// and a `Migrated` span emitted.
+    fn requeue(
+        &mut self,
+        u: usize,
+        id: u64,
+        at_ms: f64,
+        book: fn(&mut AttributionBuilder, u64, f64, f64, f64),
+    ) {
+        self.drains_total += 1;
+        self.depth.stamp(at_ms, 1);
+        let (coll, refill) = self.unit_stalls(u);
+        if let Some(ab) = self.attrib.as_mut() {
+            book(ab, id, at_ms, coll, refill);
+        }
+        if self.traced {
+            let model = self.queue.get(id).map_or("unknown", |r| r.model.name());
+            self.span(at_ms, id, model, RequestEvent::Migrated);
+        }
+    }
+
+    /// A fault destroyed `r` at `at_ms` — the third terminal outcome,
+    /// beside completion and shedding. The caller has already taken `r`
+    /// out of its batch or the queue (and stamped the depth for a queued
+    /// one).
+    fn lose(&mut self, r: &Request, at_ms: f64) {
+        self.losts.push(LostRecord {
+            id: r.id,
+            model: r.model,
+            at_ms,
+            steps_lost: r.steps_done,
+        });
+        if let Some(ab) = self.attrib.as_mut() {
+            ab.lost(r.id, at_ms);
+        }
+        self.span(at_ms, r.id, r.model.name(), RequestEvent::Lost);
+    }
+
+    /// A window of degraded service (crash to recovery, or degrade to
+    /// restore) opened at `start_ms`: it splits attainment in the fault
+    /// report, and queue time inside it books to the degraded-window
+    /// phase.
+    fn open_degraded_window(&mut self, start_ms: f64, end_ms: f64) {
+        self.degraded_windows.push((start_ms, end_ms));
+        if let Some(ab) = self.attrib.as_mut() {
+            ab.push_degraded_window(start_ms, end_ms);
+        }
+    }
+
+    /// Snapshots the counter/gauge registry into the report time-series.
+    fn snapshot_series(&mut self, at_ms: f64) {
+        debug_assert_eq!(
+            self.inflight_rows,
+            self.units
+                .iter()
+                .map(|u| u.leader().running.len() as i64)
+                .sum::<i64>(),
+            "incremental in-flight gauge drifted from the fleet"
+        );
+        self.series.snapshot(
+            at_ms,
+            [
+                self.releaser.released() as u64,
+                self.enqueued_total,
+                self.sheds.len() as u64,
+                self.degraded_requests as u64,
+                self.completions.len() as u64,
+                self.parks_total,
+                self.resumes_total,
+                self.drains_total,
+                self.losts.len() as u64,
+            ],
+            [self.queue.len() as f64, self.inflight_rows as f64, at_ms],
+        );
+    }
+
+    /// Puts idle unit `i` to sleep until `wake`: it holds no calendar
+    /// entry before then, and its members' timelines show the gap as one
+    /// idle slice each instead of a silent hole.
+    fn sleep(&mut self, i: usize, wake: f64) {
+        let unit = &mut self.units[i];
+        let start_ms = unit.now_ms();
+        if self.traced && wake > start_ms {
+            for m in &unit.members {
+                self.sink.slice(TimelineSlice {
+                    instance: m.id as u32,
+                    kind: SliceKind::Idle,
+                    start_ms,
+                    dur_ms: wake - start_ms,
+                    label: "idle",
+                    batch: 0,
+                });
+            }
+        }
+        unit.jump_to(wake);
+        self.calendar.schedule_unit(i, wake, EventKind::IdleWake);
+    }
+
+    /// Emits one request-lifecycle span.
+    fn span(&mut self, at_ms: f64, request: u64, model: &'static str, event: RequestEvent) {
+        if self.traced {
+            self.sink.span(SpanRecord {
+                at_ms,
+                request,
+                model,
+                event,
+            });
+        }
+    }
+
+    /// Drops one point-in-time marker; `detail` is only formatted when
+    /// traced.
+    fn instant(&mut self, at_ms: f64, name: &'static str, detail: impl FnOnce() -> String) {
+        if self.traced {
+            self.sink.instant(InstantMarker {
+                at_ms,
+                name,
+                detail: detail(),
+            });
+        }
+    }
+
+    /// Records the run profile and assembles the report: retired units
+    /// join the final ones, each over its own live window (birth to
+    /// death; the final units live to the makespan).
+    fn finish(mut self) -> ServeReport {
+        self.completions.sort_by_key(|c| c.id);
+        let mut units = std::mem::take(&mut self.retired);
+        units.extend(
+            self.units
+                .drain(..)
+                .zip(self.units_birth.drain(..))
+                .map(|(u, birth)| (u, birth, f64::INFINITY)),
+        );
+        let completions = self.completions;
         let makespan_ms = completions
             .iter()
             .map(|c| c.finished_ms)
             .fold(0.0, f64::max);
+        let sim = self.sim;
+        sim.last_profile = Some(RunProfile {
+            wall_ms: self.run_start.elapsed().as_secs_f64() * 1e3,
+            planner_wall_ms: self.planner_watch.wall_ms(),
+            planner_calls: self.planner_watch.laps(),
+            iterations: self.executed_iterations,
+            events_executed: self.events_executed,
+            peak_calendar_events: self.calendar.peak_len(),
+            makespan_ms,
+            completed: completions.len(),
+        });
+        let (mean_queue_depth, peak_queue_depth) = self.depth.finish(makespan_ms);
+        let (sheds, losts) = (self.sheds, self.losts);
+        let config = &sim.config;
+        // Fault report: assembled only when something could have differed
+        // from a fault-free run (a non-empty plan, or an active checkpoint
+        // policy whose spills should be visible).
+        let fault = (!config.fault_plan.is_empty() || config.checkpoint.is_some()).then(|| {
+            // Attainment under failure: SLO attainment over the requests
+            // that arrived inside a degraded window, plus every lost
+            // request — a direct fault casualty regardless of when it
+            // arrived.
+            let windows = &self.degraded_windows;
+            let in_window = |t: f64| windows.iter().any(|&(a, b)| t >= a && t < b);
+            let mut win_answered = 0usize;
+            let mut win_within = 0usize;
+            for c in completions.iter().filter(|c| in_window(c.arrival_ms)) {
+                win_answered += 1;
+                if c.within_slo() {
+                    win_within += 1;
+                }
+            }
+            win_answered += sheds.iter().filter(|s| in_window(s.at_ms)).count();
+            win_answered += losts.len();
+            let mut fault = self.fault;
+            fault.lost_requests = losts.len();
+            if fault.recoveries > 0 {
+                fault.mean_time_to_recover_ms /= fault.recoveries as f64;
+            }
+            if win_answered > 0 {
+                fault.attainment_under_failure = win_within as f64 / win_answered as f64;
+            }
+            fault
+        });
         let makespan_s = (makespan_ms / 1000.0).max(1e-9);
         let within_slo = completions.iter().filter(|c| c.within_slo()).count();
         // Percentiles come from the streaming histograms the run loop fed —
         // no full-sample sort; error is bounded by one log-bucket width.
-        debug_assert_eq!(latency_hist.count(), completions.len() as u64);
-        let latency = LatencyStats::from_histogram(latency_hist);
-        let queue_delay = LatencyStats::from_histogram(queue_hist);
-        let (mean_queue_depth, peak_queue_depth) = depth_stats;
+        debug_assert_eq!(self.latency_hist.count(), completions.len() as u64);
         // Utilization is busy time over each unit's *live* window (birth to
         // retirement, or the makespan for the final units) — a migrated
         // cluster's retired and replacement units each existed for only
@@ -2482,75 +2211,59 @@ impl ServeSimulator {
             .iter()
             .map(|s| s.mean_batch * s.iterations as f64)
             .sum();
+        let hit_bytes: u64 = per_instance.iter().map(|s| s.weight_hit_bytes).sum();
+        let refill_bytes: u64 = per_instance.iter().map(|s| s.weight_refill_bytes).sum();
+        let arrivals = self.releaser.released();
+        let trace = self.trace;
         // Priced refusals and fault losses: a shed or lost request is a
         // definite SLO miss — both join the attainment denominator even
         // though neither consumed further machine time.
         let answered = completions.len() + sheds.len() + losts.len();
+        let ratio = |num: f64, den: f64| if den > 0.0 { num / den } else { 0.0 };
         ServeReport {
-            hw_name: self.config.hw.name.to_string(),
-            policy: self.config.policy.name().to_string(),
-            admission: self.config.admission.name().to_string(),
+            hw_name: config.hw.name.to_string(),
+            policy: config.policy.name().to_string(),
+            admission: config.admission.name().to_string(),
             pattern: trace.pattern.name().to_string(),
-            instances: placement.total_instances(),
+            instances: self.placement.total_instances(),
             arrivals,
             completed: completions.len(),
             shed_requests: sheds.len(),
             lost_requests: losts.len(),
-            degraded_requests,
+            degraded_requests: self.degraded_requests,
             offered_rps: arrivals as f64 / (trace.horizon_ms / 1000.0).max(1e-9),
             throughput_rps: completions.len() as f64 / makespan_s,
             goodput_rps: within_slo as f64 / makespan_s,
-            slo_attainment: if answered == 0 {
-                0.0
-            } else {
-                within_slo as f64 / answered as f64
-            },
+            slo_attainment: ratio(within_slo as f64, answered as f64),
             horizon_ms: trace.horizon_ms,
             makespan_ms,
-            latency,
-            queue_delay,
+            latency: LatencyStats::from_histogram(&self.latency_hist),
+            queue_delay: LatencyStats::from_histogram(&self.queue_hist),
             energy_mj,
-            joules_per_request: if completions.is_empty() {
-                0.0
-            } else {
-                energy_mj / 1000.0 / completions.len() as f64
-            },
-            mean_utilization: if per_instance.is_empty() {
-                0.0
-            } else {
-                per_instance.iter().map(|s| s.utilization).sum::<f64>() / per_instance.len() as f64
-            },
-            mean_batch_occupancy: if total_iters > 0 {
-                batch_rows / total_iters as f64
-            } else {
-                0.0
-            },
-            sparse_iteration_frac: if total_iters > 0 {
-                sparse_iters / total_iters as f64
-            } else {
-                0.0
-            },
+            joules_per_request: ratio(energy_mj / 1000.0, completions.len() as f64),
+            mean_utilization: ratio(
+                per_instance.iter().map(|s| s.utilization).sum::<f64>(),
+                per_instance.len() as f64,
+            ),
+            mean_batch_occupancy: ratio(batch_rows, total_iters as f64),
+            sparse_iteration_frac: ratio(sparse_iters, total_iters as f64),
             mean_queue_depth,
             peak_queue_depth,
             preemptions: per_instance.iter().map(|s| s.preemptions).sum(),
             latent_spills: per_instance.iter().map(|s| s.latent_spills).sum(),
-            weight_refill_bytes: per_instance.iter().map(|s| s.weight_refill_bytes).sum(),
-            residency_hit_rate: {
-                let hit: u64 = per_instance.iter().map(|s| s.weight_hit_bytes).sum();
-                let refill: u64 = per_instance.iter().map(|s| s.weight_refill_bytes).sum();
-                if hit + refill > 0 {
-                    hit as f64 / (hit + refill) as f64
-                } else {
-                    1.0
-                }
+            weight_refill_bytes: refill_bytes,
+            residency_hit_rate: if hit_bytes + refill_bytes > 0 {
+                hit_bytes as f64 / (hit_bytes + refill_bytes) as f64
+            } else {
+                1.0
             },
-            gangs: placement.gangs,
+            gangs: self.placement.gangs,
             collective_ms: per_gang.iter().map(|g| g.collective_ms).sum(),
             collective_bytes: per_gang.iter().map(|g| g.collective_bytes).sum(),
-            planner,
+            planner: self.planner.map(|s| s.report),
             fault,
-            attribution,
-            series,
+            attribution: self.attrib.map(AttributionBuilder::finish),
+            series: self.series.into_series(),
             per_gang,
             per_instance,
             completions,

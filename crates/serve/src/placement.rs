@@ -385,16 +385,6 @@ impl Gang {
         (self.collective_ms, self.collective_bytes)
     }
 
-    /// Per-member `(instance id, cumulative DRAM weight-refill bytes)` —
-    /// telemetry reads the per-iteration delta to size refill slices on
-    /// each member's timeline track.
-    pub fn member_refill_bytes(&self) -> Vec<(usize, u64)> {
-        self.members
-            .iter()
-            .map(|m| (m.id, m.refill_bytes_so_far()))
-            .collect()
-    }
-
     /// Executes one denoising iteration of the unit's running batch.
     ///
     /// Replicas delegate to [`Instance::execute_iteration`]. A sharded gang

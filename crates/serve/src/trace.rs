@@ -258,10 +258,10 @@ enum StreamState {
     Diurnal { next_ms: f64 },
 }
 
-/// A lazily generated arrival stream: yields the exact same sequence as
-/// collecting [`generate`], one arrival at a time, in O(1) memory — the
-/// cluster loop threads a million-request trace through this without
-/// ever materializing it.
+/// A lazily generated arrival stream, sorted by time: one arrival at a
+/// time, in O(1) memory — the cluster loop threads a million-request trace
+/// through this without ever materializing it (collect it where a test or
+/// tool needs the whole trace).
 ///
 /// Deterministic: the same config (including seed) yields the same
 /// stream, and the RNG draw order is identical to the historical batch
@@ -408,15 +408,6 @@ impl Iterator for ArrivalStream {
     }
 }
 
-/// Generates the arrival stream of `config`, sorted by time.
-///
-/// Deterministic: the same config (including seed) yields the same stream.
-/// This materializes the full trace; the cluster loop streams through
-/// [`ArrivalStream`] instead, so it is kept for tests and offline tools.
-pub fn generate(config: &TraceConfig) -> Vec<Arrival> {
-    ArrivalStream::new(config).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -432,8 +423,9 @@ mod tests {
 
     #[test]
     fn identical_seeds_identical_traces() {
-        assert_eq!(generate(&poisson_config(7)), generate(&poisson_config(7)));
-        assert_ne!(generate(&poisson_config(7)), generate(&poisson_config(8)));
+        let stream = |seed| ArrivalStream::new(&poisson_config(seed));
+        assert!(stream(7).eq(stream(7)));
+        assert!(stream(7).ne(stream(8)));
     }
 
     #[test]
@@ -450,12 +442,13 @@ mod tests {
                 trough_frac: 0.2,
             },
         ] {
-            let trace = generate(&TraceConfig {
+            let trace: Vec<Arrival> = ArrivalStream::new(&TraceConfig {
                 pattern,
                 horizon_ms: 4_000.0,
                 seed: 11,
                 mix: WorkloadMix::multi_tenant(),
-            });
+            })
+            .collect();
             assert!(!trace.is_empty(), "{}", pattern.name());
             for w in trace.windows(2) {
                 assert!(w[0].at_ms <= w[1].at_ms);
@@ -466,7 +459,7 @@ mod tests {
 
     #[test]
     fn poisson_rate_is_respected() {
-        let trace = generate(&poisson_config(3));
+        let trace: Vec<Arrival> = ArrivalStream::new(&poisson_config(3)).collect();
         let rps = trace.len() as f64 / 5.0;
         assert!((rps - 200.0).abs() < 30.0, "measured {rps} rps");
     }
@@ -501,12 +494,13 @@ mod tests {
             burst_multiplier: 4.0,
             mean_dwell_ms: 250.0,
         };
-        let trace = generate(&TraceConfig {
+        let trace: Vec<Arrival> = ArrivalStream::new(&TraceConfig {
             pattern,
             horizon_ms: 20_000.0,
             seed: 5,
             mix: WorkloadMix::text_to_image(),
-        });
+        })
+        .collect();
         let rps = trace.len() as f64 / 20.0;
         // Mean of 60 and 240 with equal dwell: 150 rps.
         assert!(
@@ -517,12 +511,13 @@ mod tests {
 
     #[test]
     fn mix_respects_weights() {
-        let trace = generate(&TraceConfig {
+        let trace: Vec<Arrival> = ArrivalStream::new(&TraceConfig {
             pattern: TrafficPattern::Poisson { rate_rps: 500.0 },
             horizon_ms: 10_000.0,
             seed: 9,
             mix: WorkloadMix::text_to_motion(),
-        });
+        })
+        .collect();
         let mld = trace.iter().filter(|a| a.model == ModelKind::Mld).count();
         let frac = mld as f64 / trace.len() as f64;
         assert!((frac - 0.6).abs() < 0.05, "MLD fraction {frac}");

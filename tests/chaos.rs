@@ -424,3 +424,44 @@ proptest! {
         );
     }
 }
+
+/// Overlapping link windows that close out of opening order must leave
+/// the fabric priced exactly as healthy. Both windows below open and
+/// close before the first arrival (about 2.06 ms), so the run must
+/// complete exactly as a fault-free one. A running product of slowdowns
+/// divided back out window by window ends one unit in the last place off
+/// 1.0 here, and that mis-priced ring moves the completion stream.
+#[test]
+fn link_windows_closing_out_of_order_restore_the_healthy_fabric() {
+    let config = |plan: FaultPlan| {
+        ServeConfig::builder(HwConfig::exion4())
+            .placement(Placement::sharded(1, PartitionStrategy::Tensor { ways: 2 }))
+            .fault_plan(plan)
+            .build()
+    };
+    let trace = TraceConfig {
+        pattern: TrafficPattern::Poisson { rate_rps: 150.0 },
+        horizon_ms: 300.0,
+        seed: 11,
+        mix: WorkloadMix::text_to_motion(),
+    };
+    let healthy = ServeSimulator::new(config(FaultPlan::empty())).run(&trace);
+    let windows = FaultPlan::empty()
+        .link_degrade(0.001, 1.75, 0.010)
+        .link_degrade(0.002, 1.2, 0.005);
+    let restored = ServeSimulator::new(config(windows)).run(&trace);
+    let first_arrival = restored
+        .completions
+        .iter()
+        .map(|c| c.arrival_ms)
+        .fold(f64::INFINITY, f64::min);
+    assert!(
+        first_arrival > 0.011,
+        "both windows close before any arrival"
+    );
+    assert_eq!(restored.fault.as_ref().map(|f| f.faults_injected), Some(2));
+    assert_eq!(
+        restored.completions, healthy.completions,
+        "closed link windows must price the healthy fabric bit for bit"
+    );
+}

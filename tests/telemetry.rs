@@ -2,7 +2,7 @@
 //! (a run with a sink attached produces a report identical to one
 //! without), request span chains are conserved (every arrival opens
 //! exactly one chain and every chain ends in exactly one terminal event,
-//! matching the report's completion/shed accounting), the Chrome trace
+//! matching the report's completion/shed/lost accounting), the Chrome trace
 //! export is well-formed JSON with per-unit timeline coverage, metric
 //! time-series sample on the configured cadence, and the streaming
 //! log-bucketed histogram's percentiles stay within one bucket width of
@@ -12,8 +12,9 @@ use std::collections::HashMap;
 
 use exion::serve::telemetry::json::is_well_formed;
 use exion::serve::{
-    chrome_trace_json, LogHistogram, MemorySink, PlacementPlanner, PlannerConfig, RequestEvent,
-    ServeConfig, ServeReport, ServeSimulator, SliceKind, TraceConfig, TrafficPattern, WorkloadMix,
+    chrome_trace_json, FaultPlan, LogHistogram, MemorySink, PartitionStrategy, Placement,
+    PlacementPlanner, PlannerConfig, RequestEvent, ServeConfig, ServeReport, ServeSimulator,
+    SliceKind, TraceConfig, TrafficPattern, WorkloadMix,
 };
 use exion::sim::config::HwConfig;
 use proptest::prelude::*;
@@ -67,6 +68,37 @@ fn admission_scenario() -> (ServeConfig, TraceConfig) {
     (config, trace)
 }
 
+/// A faulted scenario: a whole-unit crash and a gang-member loss with no
+/// checkpoints, so requests die mid-flight and in the queue and span
+/// accounting must cover the `Lost` terminal too.
+fn faulted_scenario() -> (ServeConfig, TraceConfig) {
+    let hw = HwConfig::exion4();
+    let capacity = ServeSimulator::new(ServeConfig::new(hw))
+        .capacity_estimate_rps(&WorkloadMix::text_to_motion());
+    let config = ServeConfig::builder(hw)
+        .placement(Placement::mixed(
+            1,
+            1,
+            PartitionStrategy::Tensor { ways: 2 },
+        ))
+        .policy_name("preemptive-edf")
+        .fault_plan(
+            FaultPlan::empty()
+                .crash(300.0, 0, 100.0)
+                .member_loss(600.0, 1, 1, 100.0),
+        )
+        .build();
+    let trace = TraceConfig {
+        pattern: TrafficPattern::Poisson {
+            rate_rps: 1.5 * capacity,
+        },
+        horizon_ms: 1_200.0,
+        seed: 0xFA11,
+        mix: WorkloadMix::text_to_motion(),
+    };
+    (config, trace)
+}
+
 fn traced_run(config: &ServeConfig, trace: &TraceConfig) -> (ServeReport, MemorySink) {
     let mut sink = MemorySink::new();
     let report = ServeSimulator::new(config.clone()).run_traced(trace, &mut sink);
@@ -88,12 +120,13 @@ fn attached_sink_never_perturbs_the_simulation() {
 
 #[test]
 fn span_chains_are_conserved() {
-    for (config, trace) in [planned_scenario(), admission_scenario()] {
+    for (config, trace) in [planned_scenario(), admission_scenario(), faulted_scenario()] {
         let (report, sink) = traced_run(&config, &trace);
         let mut arrivals: HashMap<u64, usize> = HashMap::new();
         let mut terminals: HashMap<u64, usize> = HashMap::new();
         let mut completed = 0usize;
         let mut shed = 0usize;
+        let mut lost = 0usize;
         for s in &sink.spans {
             match s.event {
                 RequestEvent::Arrival => *arrivals.entry(s.request).or_default() += 1,
@@ -105,6 +138,10 @@ fn span_chains_are_conserved() {
                     shed += 1;
                     *terminals.entry(s.request).or_default() += 1;
                 }
+                RequestEvent::Lost => {
+                    lost += 1;
+                    *terminals.entry(s.request).or_default() += 1;
+                }
                 _ => {}
             }
         }
@@ -112,6 +149,7 @@ fn span_chains_are_conserved() {
         assert!(arrivals.values().all(|&n| n == 1), "duplicate Arrival span");
         assert_eq!(completed, report.completed);
         assert_eq!(shed, report.shed_requests);
+        assert_eq!(lost, report.lost_requests);
         for (id, n) in &terminals {
             assert_eq!(*n, 1, "request {id} must end in exactly one terminal");
             assert!(arrivals.contains_key(id), "terminal without arrival: {id}");
