@@ -2124,7 +2124,7 @@ impl<'a> ClusterRun<'a> {
     /// death; the final units live to the makespan).
     fn finish(mut self) -> ServeReport {
         self.completions.sort_by_key(|c| c.id);
-        let mut units = std::mem::take(&mut self.retired);
+        let mut units = self.retired;
         units.extend(
             self.units
                 .drain(..)
