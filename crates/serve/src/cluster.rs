@@ -940,14 +940,13 @@ impl ServeSimulator {
     }
 }
 
-/// One run of the cluster loop. The event calendar replaces a
-/// per-boundary min-clock scan: each unit keeps exactly one scheduled
-/// event (its next iteration boundary, or its idle wake), the stats
-/// cadence, planner epochs and fault-plan events are calendar entries of
-/// their own, and the loop pops in deterministic (time, kind rank, unit
-/// index) order until no unit has an event left — idle units cost
-/// nothing, and wall time scales with events executed rather than
-/// horizon × units.
+/// One run of the cluster loop over the event calendar: each unit keeps
+/// exactly one scheduled event (its next iteration boundary, or its idle
+/// wake), the stats cadence, planner epochs and fault-plan events are
+/// calendar entries of their own, and the loop pops in deterministic
+/// (time, kind rank, unit index) order until no unit has an event left —
+/// idle units cost nothing, and wall time scales with events executed
+/// rather than horizon × units.
 ///
 /// The run owns the fleet, the queue and every observer plane together,
 /// so each [`EventKind`] has one handler and each lifecycle fact (a
@@ -1491,7 +1490,6 @@ impl<'a> ClusterRun<'a> {
         self.release_arrivals(now);
         if self.units[i].is_idle() && self.queue.is_empty() {
             match self.releaser.peek_at_ms() {
-                // Sleep until the next arrival.
                 Some(wake) => self.sleep(i, wake),
                 // Trace exhausted and nothing queued: the unit retires
                 // with no further event, and the run ends when the last
@@ -1950,8 +1948,7 @@ impl<'a> ClusterRun<'a> {
         self.placement = placement;
         let strategies = std::iter::repeat_n(PartitionStrategy::Replicated, placement.replicas)
             .chain(std::iter::repeat_n(placement.strategy, placement.gangs));
-        let units: Vec<Gang> = strategies.map(|s| self.new_unit(s)).collect();
-        self.units = units;
+        self.units = strategies.map(|s| self.new_unit(s)).collect();
         self.units_birth = vec![at_ms; self.units.len()];
         for unit in &mut self.units {
             unit.jump_to(at_ms);
@@ -2127,8 +2124,8 @@ impl<'a> ClusterRun<'a> {
         let mut units = self.retired;
         units.extend(
             self.units
-                .drain(..)
-                .zip(self.units_birth.drain(..))
+                .into_iter()
+                .zip(self.units_birth)
                 .map(|(u, birth)| (u, birth, f64::INFINITY)),
         );
         let completions = self.completions;
