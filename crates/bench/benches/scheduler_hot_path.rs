@@ -1,18 +1,22 @@
 //! Criterion bench of the scheduler's per-boundary decision cost at queue
-//! depth 16 / 1k / 16k: the indexed admission path (`Instance::admit`,
-//! bucket argmins + bounded preempt/swap scans) against the retained
-//! linear-scan reference (`Instance::admit_reference`). Each sample clones
-//! a prebuilt (instance, queue) pair once and then runs a burst of
-//! boundary decisions (admit + execute), so the clone amortizes and the
-//! measured delta is the decision path itself. Numbers are recorded in
-//! `crates/bench/benches/README.md`.
+//! depth 16 / 1k / 16k: the indexed admission path (`Gang::admit` on a
+//! replica unit, bucket argmins + bounded preempt/swap scans) against the
+//! retained linear-scan reference (`Instance::admit_reference` on the
+//! unit's leader), plus the indexed path on a TP=2 gang, whose iterations
+//! price and combine two shards. Each sample clones a prebuilt (unit,
+//! queue) pair once and then runs a burst of boundary decisions (admit +
+//! execute), so the clone amortizes and the measured delta is the decision
+//! path itself. Numbers are recorded in `crates/bench/benches/README.md`.
 
 use std::hint::black_box;
 use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exion_model::config::{ModelConfig, ModelKind};
-use exion_serve::{policy, CostModel, Instance, ReadyQueue, Request, SchedContext};
+use exion_serve::{
+    policy, AdmitOutcome, CostModel, Gang, PartitionPlan, PartitionStrategy, ReadyQueue, Request,
+    SchedContext,
+};
 use exion_sim::config::HwConfig;
 use exion_sim::partition::Interconnect;
 use exion_sim::perf::SimAblation;
@@ -23,23 +27,39 @@ const KINDS: [ModelKind; 3] = [ModelKind::Mld, ModelKind::Mdm, ModelKind::Stable
 /// Boundary decisions per sample (one clone amortized across the burst).
 const BURST: usize = 64;
 
-fn ctx_for(policy: Arc<dyn policy::SchedulerPolicy>) -> SchedContext {
-    let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
+fn config(kind: ModelKind) -> ModelConfig {
+    ModelConfig::for_kind(kind).shrunk(1, 12)
+}
+
+/// A context whose models are cut under `strategy` (no plans for
+/// replicas).
+fn ctx_for(policy: Arc<dyn policy::SchedulerPolicy>, strategy: PartitionStrategy) -> SchedContext {
+    let hw = HwConfig::exion4();
+    let mut cost = CostModel::new(hw, SimAblation::All);
     SchedContext::build(
         policy,
         8,
         &KINDS,
         &mut cost,
         Interconnect::default(),
-        |k| ModelConfig::for_kind(k).shrunk(1, 12),
-        |_| None,
+        config,
+        |k| {
+            (strategy != PartitionStrategy::Replicated).then(|| {
+                PartitionPlan::new(
+                    &config(k),
+                    strategy,
+                    Interconnect::default(),
+                    hw.operand_bytes(),
+                )
+            })
+        },
     )
 }
 
 /// A `depth`-deep ready queue of mixed-model, mixed-deadline arrivals, all
 /// released by `now` (the deep-backlog shape: everything visible, nothing
-/// parked), plus the instance whose clock sits past the last arrival.
-fn seed_state(ctx: &SchedContext, depth: usize) -> (Instance, ReadyQueue) {
+/// parked), plus a `strategy` unit whose clock sits past the last arrival.
+fn seed_state(ctx: &SchedContext, depth: usize, strategy: PartitionStrategy) -> (Gang, ReadyQueue) {
     let mut requests = Vec::with_capacity(depth);
     for id in 0..depth as u64 {
         let kind = KINDS[(id % 3) as usize];
@@ -51,42 +71,59 @@ fn seed_state(ctx: &SchedContext, depth: usize) -> (Instance, ReadyQueue) {
         requests.push(Request::new(id, kind, arrival_ms, slo_ms, steps));
     }
     let last_arrival = 0.1 * depth.saturating_sub(1) as f64;
-    let mut inst = Instance::new(0, &HwConfig::exion4(), EvictionPolicy::Lru);
-    inst.now_ms = last_arrival;
-    (inst, ReadyQueue::from_requests(requests, ctx))
+    let mut unit = Gang::sharded(0, &HwConfig::exion4(), EvictionPolicy::Lru, strategy);
+    unit.jump_to(last_arrival);
+    (unit, ReadyQueue::from_requests(requests, ctx))
+}
+
+/// Runs one burst of boundary decisions from a clone of `seed`, admitting
+/// with `admit` and executing through the unit.
+fn burst(
+    seed: &(Gang, ReadyQueue),
+    ctx: &SchedContext,
+    cost: &mut CostModel,
+    admit: impl Fn(&mut Gang, &mut ReadyQueue) -> AdmitOutcome,
+) -> usize {
+    let (mut unit, mut queue) = seed.clone();
+    for _ in 0..BURST {
+        black_box(admit(&mut unit, &mut queue).admitted.len());
+        if !unit.is_idle() {
+            black_box(unit.execute_iteration(cost, ctx).len());
+        }
+    }
+    queue.len()
 }
 
 fn bench_decision_cost(c: &mut Criterion) {
     let mut group = c.benchmark_group("scheduler_hot_path");
     group.sample_size(10);
-    let ctx = ctx_for(policy::by_name("preemptive-edf").expect("builtin"));
+    let policy = policy::by_name("preemptive-edf").expect("builtin");
+    let tp2 = PartitionStrategy::Tensor { ways: 2 };
+    let ctx = ctx_for(policy.clone(), PartitionStrategy::Replicated);
+    let gang_ctx = ctx_for(policy, tp2);
     let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
     for &depth in &[16usize, 1_000, 16_000] {
-        let seed = seed_state(&ctx, depth);
+        let seed = seed_state(&ctx, depth, PartitionStrategy::Replicated);
         group.bench_with_input(BenchmarkId::new("indexed", depth), &depth, |b, _| {
             b.iter(|| {
-                let (mut inst, mut queue) = seed.clone();
-                for _ in 0..BURST {
-                    let out = inst.admit(&mut queue, &ctx, &mut []);
-                    black_box(out.admitted.len());
-                    if !inst.running.is_empty() {
-                        black_box(inst.execute_iteration(&mut cost, &ctx).len());
-                    }
-                }
-                black_box(queue.len())
+                black_box(burst(&seed, &ctx, &mut cost, |unit, queue| {
+                    unit.admit(queue, &ctx)
+                }))
             })
         });
         group.bench_with_input(BenchmarkId::new("reference", depth), &depth, |b, _| {
             b.iter(|| {
-                let (mut inst, mut queue) = seed.clone();
-                for _ in 0..BURST {
-                    let out = inst.admit_reference(&mut queue, &ctx, &mut []);
-                    black_box(out.admitted.len());
-                    if !inst.running.is_empty() {
-                        black_box(inst.execute_iteration(&mut cost, &ctx).len());
-                    }
-                }
-                black_box(queue.len())
+                black_box(burst(&seed, &ctx, &mut cost, |unit, queue| {
+                    unit.members[0].admit_reference(queue, &ctx, &mut [])
+                }))
+            })
+        });
+        let gang_seed = seed_state(&gang_ctx, depth, tp2);
+        group.bench_with_input(BenchmarkId::new("tp2_gang", depth), &depth, |b, _| {
+            b.iter(|| {
+                black_box(burst(&gang_seed, &gang_ctx, &mut cost, |unit, queue| {
+                    unit.admit(queue, &gang_ctx)
+                }))
             })
         });
     }

@@ -1,7 +1,7 @@
 //! DRAM device timing and energy parameter sets.
 //!
 //! Values are standard datasheet-class numbers for LPDDR5 and GDDR6 devices
-//! (the paper cites vendor energy presentations [14], [17] for its power
+//! (the paper cites vendor energy presentations \[14\], \[17\] for its power
 //! modelling; the per-bit and activation energies here sit in the same
 //! ranges).
 

@@ -301,7 +301,7 @@ pub const BUILTIN_ADMISSION_NAMES: [&str; 2] = ["admit-all", "deadline"];
 /// configuration surface (configs and env switches carry controller
 /// *names*) and the extension point for custom controllers. Registration
 /// order is iteration order, and re-registering a name replaces the entry
-/// in place (the semantics live in [`crate::registry::NamedRegistry`],
+/// in place (the semantics live in the crate-private `NamedRegistry`,
 /// shared with the policy registry).
 #[derive(Debug, Clone, Default)]
 pub struct AdmissionRegistry {

@@ -27,7 +27,7 @@ use std::sync::Arc;
 
 use exion_model::config::{ModelConfig, ModelKind};
 use exion_sim::config::HwConfig;
-use exion_sim::partition::PartitionStrategy;
+use exion_sim::partition::{Interconnect, PartitionStrategy};
 use exion_sim::perf::SimAblation;
 use exion_sim::residency::EvictionPolicy;
 use exion_telemetry::{
@@ -134,7 +134,7 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::InvalidInterconnect { link_gbps } => write!(
                 f,
-                "gang interconnect bandwidth must be positive, got {link_gbps} GB/s"
+                "gang interconnect bandwidth must be finite and positive, got {link_gbps} GB/s"
             ),
             ConfigError::InvalidPlanner { reason } => {
                 write!(f, "auto-placement planner misconfigured: {reason}")
@@ -443,11 +443,7 @@ impl ServeConfigBuilder {
                     ),
                 });
             }
-            if cfg.interconnect.link_gbps <= 0.0 {
-                return Err(ConfigError::InvalidInterconnect {
-                    link_gbps: cfg.interconnect.link_gbps,
-                });
-            }
+            validate_link(&cfg.interconnect)?;
             for &strategy in &cfg.strategies {
                 if strategy.degree() > MAX_GANG_DEGREE {
                     return Err(ConfigError::OversizedGang {
@@ -492,12 +488,19 @@ fn validate_gangs(placement: &Placement) -> Result<(), ConfigError> {
             max: MAX_GANG_DEGREE,
         });
     }
-    if placement.interconnect.link_gbps <= 0.0 {
-        return Err(ConfigError::InvalidInterconnect {
-            link_gbps: placement.interconnect.link_gbps,
-        });
+    validate_link(&placement.interconnect)
+}
+
+/// Accepts only a finite, positive link bandwidth: a NaN fails every
+/// comparison, so a `<= 0.0` test alone would let it through to price
+/// collectives at the bandwidth floor.
+fn validate_link(interconnect: &Interconnect) -> Result<(), ConfigError> {
+    let link_gbps = interconnect.link_gbps;
+    if link_gbps.is_finite() && link_gbps > 0.0 {
+        Ok(())
+    } else {
+        Err(ConfigError::InvalidInterconnect { link_gbps })
     }
-    Ok(())
 }
 
 /// The online re-planner's running state: the planner, the forecast it is
@@ -2346,6 +2349,32 @@ mod tests {
             invalid,
             Err(ConfigError::InvalidInterconnect { .. })
         ));
+        // A NaN link fails every comparison; it must not slip past as
+        // "not non-positive", neither on a static placement nor on the
+        // planner's fabric.
+        let nan_link = exion_sim::partition::Interconnect {
+            link_gbps: f64::NAN,
+            ..Default::default()
+        };
+        let nan_static = ServeConfig::builder(hw)
+            .placement(
+                Placement::sharded(1, PartitionStrategy::Tensor { ways: 2 })
+                    .with_interconnect(nan_link),
+            )
+            .try_build();
+        match nan_static {
+            Err(ConfigError::InvalidInterconnect { link_gbps }) => assert!(link_gbps.is_nan()),
+            other => panic!("NaN static link accepted: {other:?}"),
+        }
+        let mut nan_planner = PlannerConfig::new(2);
+        nan_planner.interconnect = nan_link;
+        let nan_planned = ServeConfig::builder(hw)
+            .auto_placement(PlacementPlanner::new(nan_planner), 100.0)
+            .try_build();
+        match nan_planned {
+            Err(ConfigError::InvalidInterconnect { link_gbps }) => assert!(link_gbps.is_nan()),
+            other => panic!("NaN planner link accepted: {other:?}"),
+        }
         // Planner with an unusable forecast.
         let bad_forecast = ServeConfig::builder(hw)
             .auto_placement(PlacementPlanner::new(PlannerConfig::new(2)), 0.0)

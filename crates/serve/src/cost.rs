@@ -1,11 +1,13 @@
 //! Cached per-iteration cost lookups against the cycle-level simulator.
 //!
-//! The scheduler prices every (model, batch size, FFN-Reuse phase, weight
-//! residency) combination it executes through
-//! [`exion_sim::simulate_iteration`] and memoizes the result, so a serving
-//! run of tens of thousands of iterations costs only a handful of
-//! one-iteration cycle simulations. Residency is a *fraction* of the
-//! model's weight working set held by the GSC — quantized to 1/32nds for
+//! The scheduler prices every (model, shard, batch size, FFN-Reuse phase,
+//! weight residency) combination it executes through
+//! [`exion_sim::simulate_iteration_shard`] and memoizes the result, so a
+//! serving run of tens of thousands of iterations costs only a handful of
+//! one-iteration cycle simulations. A whole-model replica is the one-shard
+//! case: it prices the full [`ShardSpec`] under the same memo key as shard 0
+//! of a [`PartitionStrategy::Replicated`] plan. Residency is a *fraction* of
+//! the weight working set held by the GSC — quantized to 1/32nds for
 //! memoization — not a warm/cold flag; partially resident tenants price a
 //! partial refill.
 
@@ -14,26 +16,43 @@ use std::collections::HashMap;
 use exion_model::config::{IterationPhase, ModelConfig, ModelKind};
 use exion_sim::config::HwConfig;
 use exion_sim::partition::{simulate_iteration_shard, PartitionPlan, PartitionStrategy};
-use exion_sim::perf::{simulate_iteration, IterationCost, SimAblation, SimError};
-use exion_sim::workload::SparsityProfile;
+use exion_sim::perf::{IterationCost, SimAblation, SimError};
+use exion_sim::workload::{ShardSpec, SparsityProfile};
 
 /// Residency-fraction quantization for memo keys (1/32 ≈ 3% granularity —
 /// finer than any latency effect the DRAM model resolves).
 const RESIDENCY_QUANTA: f64 = 32.0;
 
-/// Memo key of one shard's iteration cost: `(strategy tag, degree, shard)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct ShardKey(u8, u8, u8);
-
-impl ShardKey {
-    fn new(strategy: PartitionStrategy, shard: usize) -> Self {
-        let (tag, degree) = match strategy {
-            PartitionStrategy::Replicated => (0, 1),
-            PartitionStrategy::Tensor { ways } => (1, ways),
-            PartitionStrategy::Pipeline { stages } => (2, stages),
-        };
-        Self(tag, degree as u8, shard as u8)
-    }
+/// Packs everything a memo key needs beyond the model and batch into one
+/// word: the strategy tag (bits 23–24), the gang degree (15–22), the shard
+/// index (7–14), the phase (6) and the residency quantum (0–5). The whole
+/// model and shard 0 of a [`PartitionStrategy::Replicated`] plan share a
+/// slot, because they price the same [`ShardSpec`].
+///
+/// # Panics
+///
+/// Panics when the degree or the shard index exceeds [`u8::MAX`]: the slot
+/// keeps 8 bits for each, and a truncated field would alias another plan's
+/// key.
+fn slot(strategy: PartitionStrategy, shard: usize, phase: IterationPhase, frac_q: u32) -> u32 {
+    let (tag, degree) = match strategy {
+        PartitionStrategy::Replicated => (0, 1),
+        PartitionStrategy::Tensor { .. } => (1, strategy.degree()),
+        PartitionStrategy::Pipeline { .. } => (2, strategy.degree()),
+    };
+    let field = |what: &str, v: usize| {
+        u8::try_from(v).unwrap_or_else(|_| {
+            panic!(
+                "cost memo keys hold a gang {what} of at most {}, got {v}",
+                u8::MAX
+            )
+        }) as u32
+    };
+    tag << 23
+        | field("degree", degree) << 15
+        | field("shard index", shard) << 7
+        | (phase.is_sparse() as u32) << 6
+        | frac_q
 }
 
 /// Memoized iteration-cost oracle for one hardware instance type.
@@ -41,8 +60,8 @@ impl ShardKey {
 pub struct CostModel {
     hw: HwConfig,
     ablation: SimAblation,
-    cache: HashMap<(ModelKind, u64, IterationPhase, u32), IterationCost>,
-    shard_cache: HashMap<(ModelKind, ShardKey, u64, IterationPhase, u32), IterationCost>,
+    /// Iteration costs by `(model, batch, slot)` — see [`slot`].
+    memo: HashMap<(ModelKind, u64, u32), IterationCost>,
     isolated: HashMap<ModelKind, f64>,
     /// Measured per-model profiles (e.g. `exion-bench::profiles`) override
     /// the analytic closed form when present.
@@ -55,8 +74,7 @@ impl CostModel {
         Self {
             hw,
             ablation,
-            cache: HashMap::new(),
-            shard_cache: HashMap::new(),
+            memo: HashMap::new(),
             isolated: HashMap::new(),
             profiles: HashMap::new(),
         }
@@ -88,8 +106,7 @@ impl CostModel {
     /// are invalidated.
     pub fn set_profile(&mut self, kind: ModelKind, profile: SparsityProfile) {
         self.profiles.insert(kind, profile);
-        self.cache.retain(|(k, _, _, _), _| *k != kind);
-        self.shard_cache.retain(|(k, _, _, _, _), _| *k != kind);
+        self.memo.retain(|(k, _, _), _| *k != kind);
         self.isolated.remove(&kind);
     }
 
@@ -122,40 +139,18 @@ impl CostModel {
         phase: IterationPhase,
         resident_frac: f64,
     ) -> Result<IterationCost, SimError> {
-        // Without FFN-Reuse every step prices as a dense boundary step.
-        let phase = if self.ablation.ffn_reuse() {
-            phase
-        } else {
-            IterationPhase::Dense
-        };
-        let frac_q = (resident_frac.clamp(0.0, 1.0) * RESIDENCY_QUANTA).round() as u32;
-        let key = (model.kind, batch, phase, frac_q);
-        if let Some(&cost) = self.cache.get(&key) {
-            return Ok(cost);
-        }
-        // Step 0 is always dense; step 1 is sparse whenever FFN-Reuse is on
-        // (every benchmark has sparse_iters ≥ 1).
-        let step = match phase {
-            IterationPhase::Dense => 0,
-            IterationPhase::Sparse => 1,
-        };
-        let cost = simulate_iteration(
-            &self.hw,
-            model,
-            &self.profile_for(model),
-            self.ablation,
-            batch,
-            step,
-            frac_q as f64 / RESIDENCY_QUANTA,
-        )?;
-        self.cache.insert(key, cost);
-        Ok(cost)
+        self.price(model, None, 0, batch, phase, resident_frac)
     }
 
     /// Cost of one *shard's* share of a denoising iteration under `plan`,
     /// with `resident_frac` of the shard's own weight working set
     /// GSC-resident on its member instance. Pure shard compute — the gang
     /// collective term is added by [`PartitionPlan::combine`].
+    ///
+    /// # Panics
+    ///
+    /// Panics when `shard` is out of the plan's range, or when the plan's
+    /// degree exceeds the memo key's 8-bit field (255 ways).
     pub fn iteration_shard(
         &mut self,
         model: &ModelConfig,
@@ -165,22 +160,35 @@ impl CostModel {
         phase: IterationPhase,
         resident_frac: f64,
     ) -> Result<IterationCost, SimError> {
+        self.price(model, Some(plan), shard, batch, phase, resident_frac)
+    }
+
+    /// The one memoized pricer: shard `shard` of `plan`, or the whole model
+    /// when `plan` is `None`.
+    fn price(
+        &mut self,
+        model: &ModelConfig,
+        plan: Option<&PartitionPlan>,
+        shard: usize,
+        batch: u64,
+        phase: IterationPhase,
+        resident_frac: f64,
+    ) -> Result<IterationCost, SimError> {
+        // Without FFN-Reuse every step prices as a dense boundary step.
         let phase = if self.ablation.ffn_reuse() {
             phase
         } else {
             IterationPhase::Dense
         };
         let frac_q = (resident_frac.clamp(0.0, 1.0) * RESIDENCY_QUANTA).round() as u32;
-        let key = (
-            model.kind,
-            ShardKey::new(plan.strategy(), shard),
-            batch,
-            phase,
-            frac_q,
-        );
-        if let Some(&cost) = self.shard_cache.get(&key) {
+        let strategy = plan.map_or(PartitionStrategy::Replicated, PartitionPlan::strategy);
+        let key = (model.kind, batch, slot(strategy, shard, phase, frac_q));
+        if let Some(&cost) = self.memo.get(&key) {
             return Ok(cost);
         }
+        let spec = plan.map_or_else(|| ShardSpec::full(&model.paper), |p| *p.spec(shard));
+        // Step 0 is always dense; step 1 is sparse whenever FFN-Reuse is on
+        // (every benchmark has sparse_iters ≥ 1).
         let step = match phase {
             IterationPhase::Dense => 0,
             IterationPhase::Sparse => 1,
@@ -188,35 +196,15 @@ impl CostModel {
         let cost = simulate_iteration_shard(
             &self.hw,
             model,
-            plan,
-            shard,
+            &spec,
             &self.profile_for(model),
             self.ablation,
             batch,
             step,
             frac_q as f64 / RESIDENCY_QUANTA,
         )?;
-        self.shard_cache.insert(key, cost);
+        self.memo.insert(key, cost);
         Ok(cost)
-    }
-
-    /// Warm gang-level iteration cost under `plan` at `batch` rows in
-    /// `phase`: every shard priced fully resident, combined with the
-    /// collective term.
-    pub fn gang_iteration_warm(
-        &mut self,
-        model: &ModelConfig,
-        plan: &PartitionPlan,
-        batch: u64,
-        phase: IterationPhase,
-    ) -> IterationCost {
-        let shards: Vec<IterationCost> = (0..plan.num_shards())
-            .map(|s| {
-                self.iteration_shard(model, plan, s, batch, phase, 1.0)
-                    .expect("positive batch and in-range steps cannot fail")
-            })
-            .collect();
-        plan.combine(&shards, batch)
     }
 
     /// Warm full-generation latency of one gang serving `model` under
@@ -253,25 +241,7 @@ impl CostModel {
         batch: u64,
         resident_frac: f64,
     ) -> IterationCost {
-        let mut total = IterationCost {
-            latency_ms: 0.0,
-            energy_mj: 0.0,
-            dense_ops: 0.0,
-        };
-        for step in 0..model.iterations {
-            let phase = if self.ablation.ffn_reuse() {
-                model.ffn_reuse.phase_of_step(step)
-            } else {
-                IterationPhase::Dense
-            };
-            let cost = self
-                .iteration(model, batch, phase, resident_frac)
-                .expect("positive batch and in-range steps cannot fail");
-            total.latency_ms += cost.latency_ms;
-            total.energy_mj += cost.energy_mj;
-            total.dense_ops += cost.dense_ops;
-        }
-        total
+        self.generation_sum(model, None, batch, resident_frac, 0.0)
     }
 
     /// The sharded analogue of [`Self::generation_cost_at_residency`]: one
@@ -289,25 +259,44 @@ impl CostModel {
     ) -> IterationCost {
         let contention_extra =
             plan.collective_ms_contended(batch, concurrent_gangs) - plan.collective_ms(batch);
+        self.generation_sum(model, Some(plan), batch, resident_frac, contention_extra)
+    }
+
+    /// The one schedule loop behind both generation sums: every denoising
+    /// step priced at `resident_frac` — the whole model when `plan` is
+    /// `None`, else every shard folded by [`PartitionPlan::combine`] — plus
+    /// the fabric-contention surcharge `contention_ms` per step.
+    fn generation_sum(
+        &mut self,
+        model: &ModelConfig,
+        plan: Option<&PartitionPlan>,
+        batch: u64,
+        resident_frac: f64,
+        contention_ms: f64,
+    ) -> IterationCost {
+        const PRICEABLE: &str = "positive batch and in-range steps cannot fail";
+        let mut shards = Vec::with_capacity(plan.map_or(0, PartitionPlan::num_shards));
         let mut total = IterationCost {
             latency_ms: 0.0,
             energy_mj: 0.0,
             dense_ops: 0.0,
         };
         for step in 0..model.iterations {
-            let phase = if self.ablation.ffn_reuse() {
-                model.ffn_reuse.phase_of_step(step)
-            } else {
-                IterationPhase::Dense
+            let phase = model.ffn_reuse.phase_of_step(step);
+            let cost = match plan {
+                None => self
+                    .price(model, None, 0, batch, phase, resident_frac)
+                    .expect(PRICEABLE),
+                Some(plan) => {
+                    shards.clear();
+                    for s in 0..plan.num_shards() {
+                        let c = self.price(model, Some(plan), s, batch, phase, resident_frac);
+                        shards.push(c.expect(PRICEABLE));
+                    }
+                    plan.combine(&shards, batch)
+                }
             };
-            let shards: Vec<IterationCost> = (0..plan.num_shards())
-                .map(|s| {
-                    self.iteration_shard(model, plan, s, batch, phase, resident_frac)
-                        .expect("positive batch and in-range steps cannot fail")
-                })
-                .collect();
-            let cost = plan.combine(&shards, batch);
-            total.latency_ms += cost.latency_ms + contention_extra;
+            total.latency_ms += cost.latency_ms + contention_ms;
             total.energy_mj += cost.energy_mj;
             total.dense_ops += cost.dense_ops;
         }
@@ -373,14 +362,54 @@ mod tests {
             .iteration(&model, 4, IterationPhase::Sparse, 1.0)
             .unwrap();
         assert_eq!(a, b);
-        assert_eq!(cm.cache.len(), 1);
+        assert_eq!(cm.memo.len(), 1);
         // Nearby fractions share a residency quantum; distant ones do not.
         cm.iteration(&model, 4, IterationPhase::Sparse, 0.999)
             .unwrap();
-        assert_eq!(cm.cache.len(), 1);
+        assert_eq!(cm.memo.len(), 1);
         cm.iteration(&model, 4, IterationPhase::Sparse, 0.5)
             .unwrap();
-        assert_eq!(cm.cache.len(), 2);
+        assert_eq!(cm.memo.len(), 2);
+    }
+
+    #[test]
+    fn whole_model_is_shard_zero_of_a_replicated_plan() {
+        let mut cm = CostModel::new(HwConfig::exion4(), SimAblation::All);
+        let model = ModelConfig::for_kind(ModelKind::Mdm);
+        let plan = PartitionPlan::new(
+            &model,
+            PartitionStrategy::Replicated,
+            exion_sim::partition::Interconnect::default(),
+            cm.hw().operand_bytes(),
+        );
+        let mut entries = 0;
+        for phase in [IterationPhase::Dense, IterationPhase::Sparse] {
+            for frac in [0.25, 1.0] {
+                let whole = cm.iteration(&model, 2, phase, frac).unwrap();
+                let shard = cm
+                    .iteration_shard(&model, &plan, 0, 2, phase, frac)
+                    .unwrap();
+                assert_eq!(whole.latency_ms.to_bits(), shard.latency_ms.to_bits());
+                assert_eq!(whole.energy_mj.to_bits(), shard.energy_mj.to_bits());
+                assert_eq!(whole.dense_ops.to_bits(), shard.dense_ops.to_bits());
+                entries += 1;
+                assert_eq!(cm.memo.len(), entries, "one entry serves both calls");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cost memo keys hold a gang degree of at most 255, got 256")]
+    fn oversized_degree_panics_instead_of_aliasing_a_memo_key() {
+        let mut cm = CostModel::new(HwConfig::exion4(), SimAblation::All);
+        let model = ModelConfig::for_kind(ModelKind::Mld);
+        let plan = PartitionPlan::new(
+            &model,
+            PartitionStrategy::Tensor { ways: 256 },
+            exion_sim::partition::Interconnect::default(),
+            cm.hw().operand_bytes(),
+        );
+        let _ = cm.iteration_shard(&model, &plan, 0, 1, IterationPhase::Dense, 1.0);
     }
 
     #[test]

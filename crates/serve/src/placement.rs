@@ -4,8 +4,9 @@
 //! A [`Gang`] is the cluster's unit of execution. A replica gang has one
 //! member running the whole model; a sharded gang has
 //! [`PartitionStrategy::degree`] members, each holding *its own shard* of
-//! every served model in *its own* GSC ([`GscObject::WeightShard`] entries
-//! priced per member). Gangs are iteration-synchronous: a sharded batch
+//! every served model in *its own* GSC
+//! ([`exion_sim::residency::GscObject::WeightShard`] entries priced per
+//! member). Gangs are iteration-synchronous: a sharded batch
 //! advances only when every member has finished its shard (tensor ranks run
 //! concurrently, pipeline stages sequentially), so the gang keeps one
 //! logical clock — the leader's — and followers advance in lockstep.
@@ -29,7 +30,7 @@ use crate::cost::CostModel;
 use crate::metrics::{GangStats, InstanceStats};
 use crate::queue::ReadyQueue;
 use crate::request::Completion;
-use crate::scheduler::{AdmitOutcome, Instance, SchedContext};
+use crate::scheduler::{plan_of, AdmitOutcome, Instance, SchedContext};
 
 /// How a cluster's instances are grouped: `replicas` single-instance
 /// whole-model units plus `gangs` sharded units of `strategy.degree()`
@@ -144,6 +145,9 @@ pub struct Gang {
     /// dead member is stalled: TP/PP iterations need every shard, so the
     /// whole unit's capacity is out until repair replaces it.
     dead: Vec<bool>,
+    /// Per-member iteration costs, reused across iterations so the
+    /// execution path never allocates.
+    costs: Vec<IterationCost>,
     collective_ms: f64,
     collective_bytes: u64,
 }
@@ -156,6 +160,7 @@ impl Gang {
             strategy: PartitionStrategy::Replicated,
             last_model: None,
             dead: vec![false],
+            costs: Vec::with_capacity(1),
             collective_ms: 0.0,
             collective_bytes: 0,
         }
@@ -163,8 +168,7 @@ impl Gang {
 
     /// A sharded gang whose members take instance ids `first_id..`, shard
     /// `s` to member `s`. A degenerate [`PartitionStrategy::Replicated`]
-    /// "gang" is just a replica (whole-model member, replica execution
-    /// path).
+    /// "gang" is just a replica (one whole-model member).
     pub fn sharded(
         first_id: usize,
         hw: &HwConfig,
@@ -182,7 +186,8 @@ impl Gang {
             m.set_unit(first_id, degree);
         }
         Self {
-            dead: vec![false; members.len()],
+            dead: vec![false; degree],
+            costs: Vec::with_capacity(degree),
             members,
             strategy,
             last_model: None,
@@ -385,14 +390,16 @@ impl Gang {
         (self.collective_ms, self.collective_bytes)
     }
 
-    /// Executes one denoising iteration of the unit's running batch.
+    /// Executes one denoising iteration of the unit's running batch — the
+    /// only execution path, for replicas and gangs alike.
     ///
-    /// Replicas delegate to [`Instance::execute_iteration`]. A sharded gang
-    /// gang-schedules the boundary: every member touches *its shard's*
-    /// residency in *its own* GSC, prices its shard's compute at its warm
-    /// fraction, and the batch advances only when all members are done —
-    /// max-composed for tensor ranks, sum-composed for pipeline stages,
-    /// plus the interconnect collective term.
+    /// Every member touches *its* weights (the whole model on a replica,
+    /// its shard on a gang member) in *its own* GSC and prices its compute
+    /// at its warm fraction. A one-member unit books its member's cost as
+    /// is. A gang advances only when all members are done:
+    /// [`exion_sim::partition::PartitionPlan::combine`] max-composes tensor
+    /// ranks, sum-composes pipeline stages and adds the interconnect
+    /// collective term.
     ///
     /// # Panics
     ///
@@ -414,17 +421,14 @@ impl Gang {
         ctx: &SchedContext,
         done: &mut Vec<Completion>,
     ) {
-        if !self.is_sharded() {
-            return self.members[0].execute_iteration_into(cost, ctx, done);
-        }
-        let model = self.members[0]
+        let leader = &self.members[0];
+        assert!(!leader.running.is_empty(), "executing an empty batch");
+        let model = leader
             .active_model
             .expect("a non-empty batch always has an active model");
-        let info = ctx.info(model).clone();
-        let plan = info
-            .partition
-            .as_ref()
-            .expect("sharded units exist only when the context carries plans");
+        let info = ctx.info(model);
+        let phase = leader.batch_phase(info.period);
+        let batch = leader.running.len() as u64;
 
         // Moving to a new tenant releases the followers' old shard pins
         // (the leader moved its own pin during admission seeding).
@@ -437,35 +441,30 @@ impl Gang {
             self.last_model = Some(model);
         }
 
-        let phase = self.members[0].batch_phase(info.period);
-        let batch = self.members[0].running.len() as u64;
-        let mut shard_costs: Vec<IterationCost> = Vec::with_capacity(self.members.len());
+        self.costs.clear();
         for member in &mut self.members {
-            let obj = member.weight_obj(model);
-            let bytes = member.weight_footprint(&info);
-            let warm = member.touch_weights(obj, bytes, ctx.transfer_ms(bytes), ctx);
-            let c = cost
-                .iteration_shard(&info.config, plan, shard_costs.len(), batch, phase, warm)
-                .expect("non-empty batch and in-range step");
-            shard_costs.push(c);
+            self.costs
+                .push(member.price_step(cost, ctx, info, batch, phase));
         }
-        let gang_cost = plan.combine(&shard_costs, batch);
-        self.collective_ms += plan.collective_ms(batch);
-        self.collective_bytes += plan.collective_bytes(batch);
-
-        // The link energy is booked on the leader along with its shard; the
-        // whole gang is occupied for the combined latency (lockstep).
-        let link_energy =
-            gang_cost.energy_mj - shard_costs.iter().map(|c| c.energy_mj).sum::<f64>();
-        self.members[0].finish_iteration_into(
-            gang_cost.latency_ms,
-            shard_costs[0].energy_mj + link_energy,
-            phase,
-            done,
-        );
+        let (latency_ms, leader_energy_mj) = match self.costs.as_slice() {
+            [lone] => (lone.latency_ms, lone.energy_mj),
+            costs => {
+                let plan = plan_of(info);
+                let gang_cost = plan.combine(costs, batch);
+                self.collective_ms += plan.collective_ms(batch);
+                self.collective_bytes += plan.collective_bytes(batch);
+                // The link energy is booked on the leader along with its
+                // shard; the whole gang is occupied for the combined
+                // latency (lockstep).
+                let link_energy =
+                    gang_cost.energy_mj - costs.iter().map(|c| c.energy_mj).sum::<f64>();
+                (gang_cost.latency_ms, costs[0].energy_mj + link_energy)
+            }
+        };
+        self.members[0].finish_iteration_into(latency_ms, leader_energy_mj, phase, done);
         let now = self.members[0].now_ms;
-        for (member, c) in self.members[1..].iter_mut().zip(&shard_costs[1..]) {
-            member.advance_lockstep(now, gang_cost.latency_ms, c.energy_mj);
+        for (member, c) in self.members[1..].iter_mut().zip(&self.costs[1..]) {
+            member.advance_lockstep(now, latency_ms, c.energy_mj);
         }
     }
 

@@ -249,7 +249,7 @@ pub const BUILTIN_POLICY_NAMES: [&str; 4] = ["fcfs", "edf", "preemptive-edf", "s
 /// resolves them to implementations) and the extension point downstream
 /// crates register custom policies into. Registration order is iteration
 /// order, and re-registering a name replaces the entry in place (the
-/// semantics live in [`crate::registry::NamedRegistry`], shared with the
+/// semantics live in the crate-private `NamedRegistry`, shared with the
 /// admission registry).
 #[derive(Debug, Clone, Default)]
 pub struct PolicyRegistry {

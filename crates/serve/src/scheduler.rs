@@ -27,6 +27,7 @@ use std::sync::Arc;
 use exion_model::config::{IterationPhase, ModelConfig, ModelKind};
 use exion_sim::config::HwConfig;
 use exion_sim::partition::{Interconnect, PartitionPlan};
+use exion_sim::perf::IterationCost;
 use exion_sim::residency::{
     latent_state_bytes, model_weight_bytes, EvictionPolicy, GscCache, GscObject,
 };
@@ -49,9 +50,6 @@ pub struct ModelInfo {
     pub weight_bytes: u64,
     /// Parked denoising-latent state per request (bytes).
     pub latent_bytes: u64,
-    /// Wall-clock cost of a full cold weight refill (ms) — the currency
-    /// residency-aware seeding and cost-aware eviction rank tenants by.
-    pub full_refill_ms: f64,
     /// Mean warm per-iteration latency at batch 1 (ms): the fastest rate
     /// the instance could possibly serve one request at — the feasibility
     /// currency of the preemption thrash guard (optimistic by design, so
@@ -135,7 +133,6 @@ impl SchedContext {
                         period: cost.period(&config),
                         weight_bytes,
                         latent_bytes: latent_state_bytes(&config, operand_bytes),
-                        full_refill_ms: cost.full_refill_ms(weight_bytes),
                         warm_step_ms,
                         batched_step_ms,
                         partition,
@@ -202,6 +199,14 @@ impl SchedContext {
     pub(crate) fn deadline_feasible(&self, r: &Request, now_ms: f64) -> bool {
         now_ms + r.steps_left() as f64 * self.info(r.model).warm_step_ms <= r.deadline_ms()
     }
+}
+
+/// The gang partition plan of `info`'s model — present whenever the unit
+/// asking has more than one member.
+pub(crate) fn plan_of(info: &ModelInfo) -> &PartitionPlan {
+    info.partition
+        .as_ref()
+        .expect("sharded units exist only when the context carries plans")
 }
 
 /// What one admission pass did: requests admitted into the batch and
@@ -353,14 +358,10 @@ impl Instance {
     }
 
     /// The weight working-set bytes this instance is responsible for.
-    pub(crate) fn weight_footprint(&self, info: &ModelInfo) -> u64 {
+    fn weight_footprint(&self, info: &ModelInfo) -> u64 {
         match self.shard {
             None => info.weight_bytes,
-            Some(s) => info
-                .partition
-                .as_ref()
-                .expect("sharded members exist only when the context carries plans")
-                .shard_weight_bytes(s as usize),
+            Some(s) => plan_of(info).shard_weight_bytes(s as usize),
         }
     }
 
@@ -1244,26 +1245,40 @@ impl Instance {
         }
     }
 
-    /// Touches (and refills toward full residency) this instance's weight
-    /// entry `obj` of footprint `full_bytes`, pricing eviction fallout, and
-    /// returns the warm fraction found resident — the residency step every
-    /// executed iteration starts with, shared by replicas (whole model) and
-    /// gang members (their shard).
-    pub(crate) fn touch_weights(
+    /// This member's part of one iteration of its unit's running batch
+    /// (`batch` rows of `info`'s model in `phase`): touches its weight
+    /// entry — the whole model on a replica, its shard on a gang member —
+    /// refilling it toward full residency and pricing eviction fallout,
+    /// then prices its compute at the fraction found resident. The unit
+    /// books the cost ([`Self::finish_iteration_into`] on the leader,
+    /// [`Self::advance_lockstep`] on followers).
+    pub(crate) fn price_step(
         &mut self,
-        obj: GscObject,
-        full_bytes: u64,
-        refill_cost_ms: f64,
+        cost: &mut CostModel,
         ctx: &SchedContext,
-    ) -> f64 {
-        let out = self.gsc.request(obj, full_bytes, refill_cost_ms, true);
+        info: &ModelInfo,
+        batch: u64,
+        phase: IterationPhase,
+    ) -> IterationCost {
+        let full_bytes = self.weight_footprint(info);
+        let obj = self.weight_obj(info.config.kind);
+        let out = self
+            .gsc
+            .request(obj, full_bytes, ctx.transfer_ms(full_bytes), true);
         self.price_evictions(&out.evicted, ctx);
         self.weight_hit_bytes += out.prior_bytes;
         self.weight_refill_bytes += out.refilled_bytes;
         if out.refilled_bytes > 0 {
             self.weight_refill_iterations += 1;
         }
-        out.prior_fraction(full_bytes)
+        let warm = out.prior_fraction(full_bytes);
+        match self.shard {
+            None => cost.iteration(&info.config, batch, phase, warm),
+            Some(s) => {
+                cost.iteration_shard(&info.config, plan_of(info), s as usize, batch, phase, warm)
+            }
+        }
+        .expect("non-empty batch and in-range step")
     }
 
     /// Advances this instance past one externally priced iteration of the
@@ -1323,57 +1338,6 @@ impl Instance {
         self.energy_mj += energy_mj;
     }
 
-    /// Executes one denoising iteration for the running batch of a
-    /// whole-model replica, advancing the local clock and returning the
-    /// completions it produced. The active model's weights are touched (and
-    /// refilled as far as capacity allows) in the GSC, and the iteration is
-    /// priced by the fraction that was already resident. Sharded gang
-    /// members are instead driven by
-    /// [`crate::placement::Gang::execute_iteration`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the batch is empty or the instance is a gang shard member.
-    pub fn execute_iteration(
-        &mut self,
-        cost: &mut CostModel,
-        ctx: &SchedContext,
-    ) -> Vec<Completion> {
-        let mut done = Vec::new();
-        self.execute_iteration_into(cost, ctx, &mut done);
-        done
-    }
-
-    /// [`Self::execute_iteration`] appending into a caller-owned buffer.
-    pub fn execute_iteration_into(
-        &mut self,
-        cost: &mut CostModel,
-        ctx: &SchedContext,
-        done: &mut Vec<Completion>,
-    ) {
-        assert!(!self.running.is_empty(), "executing an empty batch");
-        assert!(
-            self.shard.is_none(),
-            "sharded members execute through their gang"
-        );
-        let model = self
-            .active_model
-            .expect("a non-empty batch always has an active model");
-        let info = ctx.info(model).clone();
-        let phase = self.batch_phase(info.period);
-        let warm_frac = self.touch_weights(
-            GscObject::Weights(model),
-            info.weight_bytes,
-            info.full_refill_ms,
-            ctx,
-        );
-        let batch = self.running.len() as u64;
-        let c = cost
-            .iteration(&info.config, batch, phase, warm_frac)
-            .expect("non-empty batch and in-range step");
-        self.finish_iteration_into(c.latency_ms, c.energy_mj, phase, done);
-    }
-
     /// Cumulative weight bytes streamed from DRAM — telemetry reads the
     /// per-iteration delta to size refill slices on the timeline.
     pub(crate) fn refill_bytes_so_far(&self) -> u64 {
@@ -1419,6 +1383,7 @@ impl Instance {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::placement::Gang;
     use crate::policy::{Fcfs, PreemptiveEdf, SparsityAware};
     use exion_sim::perf::SimAblation;
 
@@ -1459,6 +1424,10 @@ mod tests {
         Instance::new(0, &HwConfig::exion4(), EvictionPolicy::Lru)
     }
 
+    fn replica() -> Gang {
+        Gang::replica(0, &HwConfig::exion4(), EvictionPolicy::Lru)
+    }
+
     #[test]
     fn admission_fills_slots_with_one_model() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
@@ -1492,30 +1461,30 @@ mod tests {
     fn sparsity_aware_waits_for_boundary() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
         let sparsity_ctx = ctx_for(Arc::new(SparsityAware), 2, &mut cost);
-        let mut inst = instance();
+        let mut unit = replica();
         let mut queue = queue_of(&[ModelKind::Mld; 4], &sparsity_ctx);
-        inst.admit(&mut queue, &sparsity_ctx, &mut []);
-        assert_eq!(inst.running.len(), 2);
+        unit.admit(&mut queue, &sparsity_ctx);
+        assert_eq!(unit.leader().running.len(), 2);
         // One step in: mid-period, so the gate closes.
-        inst.execute_iteration(&mut cost, &sparsity_ctx);
+        unit.execute_iteration(&mut cost, &sparsity_ctx);
         let wider = ctx_for(Arc::new(SparsityAware), 4, &mut cost);
-        assert!(inst.admit(&mut queue, &wider, &mut []).admitted.is_empty());
+        assert!(unit.admit(&mut queue, &wider).admitted.is_empty());
         // FCFS would have admitted immediately.
         let fcfs = ctx_for(Arc::new(Fcfs), 4, &mut cost);
-        assert_eq!(inst.admit(&mut queue, &fcfs, &mut []).admitted.len(), 2);
+        assert_eq!(unit.admit(&mut queue, &fcfs).admitted.len(), 2);
     }
 
     #[test]
     fn completions_carry_timing() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
         let ctx = ctx_for(Arc::new(Fcfs), 8, &mut cost);
-        let mut inst = Instance::new(3, &HwConfig::exion4(), EvictionPolicy::Lru);
+        let mut unit = Gang::replica(3, &HwConfig::exion4(), EvictionPolicy::Lru);
         let mut queue = queue_of(&[ModelKind::Mld], &ctx);
-        inst.admit(&mut queue, &ctx, &mut []);
+        unit.admit(&mut queue, &ctx);
         let total = tiny(ModelKind::Mld).iterations;
         let mut done = Vec::new();
         for _ in 0..total {
-            done.extend(inst.execute_iteration(&mut cost, &ctx));
+            done.extend(unit.execute_iteration(&mut cost, &ctx));
         }
         assert_eq!(done.len(), 1);
         assert_eq!(done[0].instance, 3);
@@ -1523,8 +1492,8 @@ mod tests {
         assert_eq!(done[0].steps, total);
         assert!(!done[0].degraded);
         assert!(done[0].finished_ms > 0.0);
-        assert!(inst.is_idle());
-        let stats = inst.stats(inst.now_ms);
+        assert!(unit.is_idle());
+        let stats = unit.leader().stats(unit.now_ms());
         assert_eq!(stats.iterations, total as u64);
         assert_eq!(stats.rows_executed, total as u64);
         assert!(stats.utilization > 0.99);
@@ -1537,7 +1506,7 @@ mod tests {
     fn preemptive_edf_parks_for_an_urgent_tenant() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
         let ctx = ctx_for(Arc::new(PreemptiveEdf), 8, &mut cost);
-        let mut inst = instance();
+        let mut unit = replica();
         // A relaxed-deadline SD batch is running...
         let mut queue = ReadyQueue::from_requests(
             vec![Request::new(
@@ -1549,9 +1518,9 @@ mod tests {
             )],
             &ctx,
         );
-        inst.admit(&mut queue, &ctx, &mut []);
-        inst.execute_iteration(&mut cost, &ctx);
-        assert_eq!(inst.active_model, Some(ModelKind::StableDiffusion));
+        unit.admit(&mut queue, &ctx);
+        unit.execute_iteration(&mut cost, &ctx);
+        assert_eq!(unit.leader().active_model, Some(ModelKind::StableDiffusion));
         // ...when an urgent MLD request arrives.
         queue.push(
             Request::new(
@@ -1563,11 +1532,11 @@ mod tests {
             ),
             &ctx,
         );
-        let out = inst.admit(&mut queue, &ctx, &mut []);
+        let out = unit.admit(&mut queue, &ctx);
         assert_eq!(out.parked.len(), 1, "SD batch must be parked");
         assert_eq!(out.admitted.len(), 1);
-        assert_eq!(inst.active_model, Some(ModelKind::Mld));
-        assert_eq!(inst.running[0].model, ModelKind::Mld);
+        assert_eq!(unit.leader().active_model, Some(ModelKind::Mld));
+        assert_eq!(unit.leader().running[0].model, ModelKind::Mld);
         // The parked request kept its progress and counts its preemption.
         let parked = queue
             .iter()
@@ -1575,14 +1544,14 @@ mod tests {
             .expect("parked back into queue");
         assert_eq!(parked.steps_done, 1);
         assert_eq!(parked.preemptions, 1);
-        assert_eq!(inst.stats(1.0).preemptions, 1);
+        assert_eq!(unit.leader().stats(1.0).preemptions, 1);
     }
 
     #[test]
     fn non_preemptive_edf_drains_instead() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
         let ctx = ctx_for(Arc::new(crate::policy::Edf), 8, &mut cost);
-        let mut inst = instance();
+        let mut unit = replica();
         let mut queue = ReadyQueue::from_requests(
             vec![Request::new(
                 0,
@@ -1593,8 +1562,8 @@ mod tests {
             )],
             &ctx,
         );
-        inst.admit(&mut queue, &ctx, &mut []);
-        inst.execute_iteration(&mut cost, &ctx);
+        unit.admit(&mut queue, &ctx);
+        unit.execute_iteration(&mut cost, &ctx);
         queue.push(
             Request::new(
                 1,
@@ -1605,17 +1574,17 @@ mod tests {
             ),
             &ctx,
         );
-        let out = inst.admit(&mut queue, &ctx, &mut []);
+        let out = unit.admit(&mut queue, &ctx);
         assert!(out.parked.is_empty());
         assert!(out.admitted.is_empty());
-        assert_eq!(inst.active_model, Some(ModelKind::StableDiffusion));
+        assert_eq!(unit.leader().active_model, Some(ModelKind::StableDiffusion));
     }
 
     #[test]
     fn same_model_swap_evicts_the_worst_deadline() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
         let ctx = ctx_for(Arc::new(PreemptiveEdf), 2, &mut cost);
-        let mut inst = instance();
+        let mut unit = replica();
         let steps = tiny(ModelKind::Mld).iterations;
         let mut queue = ReadyQueue::from_requests(
             vec![
@@ -1624,14 +1593,14 @@ mod tests {
             ],
             &ctx,
         );
-        inst.admit(&mut queue, &ctx, &mut []);
-        inst.execute_iteration(&mut cost, &ctx);
+        unit.admit(&mut queue, &ctx);
+        unit.execute_iteration(&mut cost, &ctx);
         // A tighter-deadline request displaces id 1 (deadline 900).
         queue.push(Request::new(2, ModelKind::Mld, 0.0, 50.0, steps), &ctx);
-        let out = inst.admit(&mut queue, &ctx, &mut []);
+        let out = unit.admit(&mut queue, &ctx);
         assert_eq!(out.parked.len(), 1);
         assert_eq!(out.parked[0].0, 1);
-        let ids: Vec<u64> = inst.running.iter().map(|r| r.id).collect();
+        let ids: Vec<u64> = unit.leader().running.iter().map(|r| r.id).collect();
         assert_eq!(ids, vec![0, 2]);
     }
 
@@ -1639,7 +1608,7 @@ mod tests {
     fn resumed_requests_finish_with_all_steps() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
         let ctx = ctx_for(Arc::new(PreemptiveEdf), 8, &mut cost);
-        let mut inst = instance();
+        let mut unit = replica();
         let sd_steps = tiny(ModelKind::StableDiffusion).iterations;
         let mut queue = ReadyQueue::from_requests(
             vec![Request::new(
@@ -1651,8 +1620,8 @@ mod tests {
             )],
             &ctx,
         );
-        inst.admit(&mut queue, &ctx, &mut []);
-        inst.execute_iteration(&mut cost, &ctx);
+        unit.admit(&mut queue, &ctx);
+        unit.execute_iteration(&mut cost, &ctx);
         queue.push(
             Request::new(
                 1,
@@ -1663,21 +1632,21 @@ mod tests {
             ),
             &ctx,
         );
-        inst.admit(&mut queue, &ctx, &mut []); // parks SD, runs MLD
+        unit.admit(&mut queue, &ctx); // parks SD, runs MLD
         let mut done = Vec::new();
         let mut guard = 0;
         while done.len() < 2 {
-            if inst.is_idle() {
-                inst.admit(&mut queue, &ctx, &mut []);
+            if unit.is_idle() {
+                unit.admit(&mut queue, &ctx);
             }
-            done.extend(inst.execute_iteration(&mut cost, &ctx));
+            done.extend(unit.execute_iteration(&mut cost, &ctx));
             guard += 1;
             assert!(guard < 10 * (sd_steps as u32 + 12), "scheduler livelock");
         }
         let sd = done.iter().find(|c| c.id == 0).expect("SD completed");
         assert_eq!(sd.preemptions, 1);
         // Total executed rows equal total requested steps: conservation.
-        let stats = inst.stats(inst.now_ms);
+        let stats = unit.leader().stats(unit.now_ms());
         let requested = (sd_steps + tiny(ModelKind::Mld).iterations) as u64;
         assert_eq!(stats.rows_executed, requested);
     }
@@ -1718,7 +1687,7 @@ mod tests {
     fn doomed_requests_do_not_trigger_preemption() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
         let ctx = ctx_for(Arc::new(PreemptiveEdf), 8, &mut cost);
-        let mut inst = instance();
+        let mut unit = replica();
         // A relaxed-deadline SD batch is running...
         let mut queue = ReadyQueue::from_requests(
             vec![Request::new(
@@ -1730,8 +1699,8 @@ mod tests {
             )],
             &ctx,
         );
-        inst.admit(&mut queue, &ctx, &mut []);
-        inst.execute_iteration(&mut cost, &ctx);
+        unit.admit(&mut queue, &ctx);
+        unit.execute_iteration(&mut cost, &ctx);
         // ...when an MLD request arrives whose deadline has already passed:
         // its EDF key beats every running member, but parking the batch for
         // a request that cannot finish in time only churns the GSC.
@@ -1739,18 +1708,18 @@ mod tests {
             Request::new(1, ModelKind::Mld, 0.0, 0.0, tiny(ModelKind::Mld).iterations),
             &ctx,
         );
-        assert!(!ctx.deadline_feasible(&queue[0], inst.now_ms));
-        let out = inst.admit(&mut queue, &ctx, &mut []);
+        assert!(!ctx.deadline_feasible(&queue[0], unit.now_ms()));
+        let out = unit.admit(&mut queue, &ctx);
         assert!(out.parked.is_empty(), "thrash guard must block the park");
-        assert_eq!(inst.active_model, Some(ModelKind::StableDiffusion));
-        assert_eq!(inst.stats(1.0).preemptions, 0);
+        assert_eq!(unit.leader().active_model, Some(ModelKind::StableDiffusion));
+        assert_eq!(unit.leader().stats(1.0).preemptions, 0);
     }
 
     #[test]
     fn idle_seeding_prefers_the_resident_tenant() {
         let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
         let ctx = ctx_for(Arc::new(Fcfs), 8, &mut cost);
-        let mut inst = instance();
+        let mut unit = replica();
         // Run an MDM generation to make its shards resident.
         let mut queue = ReadyQueue::from_requests(
             vec![Request::new(
@@ -1762,15 +1731,15 @@ mod tests {
             )],
             &ctx,
         );
-        inst.admit(&mut queue, &ctx, &mut []);
-        while !inst.is_idle() {
-            inst.execute_iteration(&mut cost, &ctx);
+        unit.admit(&mut queue, &ctx);
+        while !unit.is_idle() {
+            unit.execute_iteration(&mut cost, &ctx);
         }
-        assert_eq!(inst.weight_residency(ModelKind::Mdm), 1.0);
+        assert_eq!(unit.leader().weight_residency(ModelKind::Mdm), 1.0);
         // Two simultaneous arrivals: FCFS alone would seed SD (lower id
         // wins the tie-break), but its cold refill tips the residency-
         // adjusted score toward the already-resident MDM.
-        let now = inst.now_ms;
+        let now = unit.now_ms();
         queue.push(
             Request::new(
                 1,
@@ -1785,8 +1754,8 @@ mod tests {
             Request::new(2, ModelKind::Mdm, now, 1e9, tiny(ModelKind::Mdm).iterations),
             &ctx,
         );
-        inst.admit(&mut queue, &ctx, &mut []);
-        assert_eq!(inst.active_model, Some(ModelKind::Mdm));
+        unit.admit(&mut queue, &ctx);
+        assert_eq!(unit.leader().active_model, Some(ModelKind::Mdm));
     }
 
     #[test]
@@ -1844,6 +1813,15 @@ mod tests {
         let mut peer = Instance::new(1, &hw, EvictionPolicy::Lru);
         peer.set_unit(0, 2);
         let mut peers = vec![peer];
+        // One iteration on the leader, through the member step and booking
+        // `Gang::execute_iteration_into` runs (the hand-made peer idles).
+        let step = |leader: &mut Instance, cost: &mut CostModel| {
+            let info = ctx.info(leader.active_model.expect("a running batch"));
+            let phase = leader.batch_phase(info.period);
+            let batch = leader.running.len() as u64;
+            let c = leader.price_step(cost, &ctx, info, batch, phase);
+            leader.finish_iteration_into(c.latency_ms, c.energy_mj, phase, &mut Vec::new());
+        };
         // Round 1: a relaxed SD batch runs, an urgent MLD preempts it.
         let mut queue = ReadyQueue::from_requests(
             vec![Request::new(
@@ -1856,7 +1834,7 @@ mod tests {
             &ctx,
         );
         leader.admit(&mut queue, &ctx, &mut peers);
-        leader.execute_iteration(&mut cost, &ctx);
+        step(&mut leader, &mut cost);
         let now = leader.now_ms;
         queue.push(
             Request::new(
@@ -1869,7 +1847,7 @@ mod tests {
             &ctx,
         );
         leader.admit(&mut queue, &ctx, &mut peers);
-        leader.execute_iteration(&mut cost, &ctx);
+        step(&mut leader, &mut cost);
         let sd = queue.iter().find(|r| r.id == 0).expect("SD parked");
         assert_eq!(sd.parked_on, Some(0), "first park ties toward the leader");
         // Round 2: a tighter-deadline MDM preempts the MLD batch; the

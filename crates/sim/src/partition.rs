@@ -26,8 +26,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::HwConfig;
 use crate::perf::{flags_for_step, IterationCost, SimAblation, SimError};
-use crate::residency::model_weight_bytes;
-use crate::workload::{build_iteration_shard, DscOp, ShardSpec, SparsityProfile};
+use crate::residency::{model_weight_bytes, spec_weight_bytes};
+use crate::workload::{build_iteration_shard, ShardSpec, SparsityProfile};
 
 /// How a model is cut across the member instances of one serving gang.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -195,7 +195,7 @@ impl PartitionPlan {
             // their dense per-op weight bytes partitions the total exactly.
             _ => specs
                 .iter()
-                .map(|spec| dense_shard_weight_bytes(model, spec, bytes_per_operand))
+                .map(|spec| spec_weight_bytes(model, spec, bytes_per_operand))
                 .collect(),
         };
 
@@ -366,56 +366,28 @@ impl PartitionPlan {
     }
 }
 
-/// Dense weight bytes of the iteration slice `spec` executes (every weight
-/// matrix streamed once, dense — the shard's residency working set).
-fn dense_shard_weight_bytes(model: &ModelConfig, spec: &ShardSpec, bytes_per_operand: f64) -> u64 {
-    let plan = build_iteration_shard(
-        &model.paper,
-        model.network,
-        model.geglu,
-        crate::workload::IterationKindFlags {
-            ffn_sparse: false,
-            ffn_dense_with_cau: false,
-            ep: false,
-        },
-        &SparsityProfile::dense(),
-        1,
-        spec,
-    );
-    plan.ops
-        .iter()
-        .map(|op| match op {
-            DscOp::Mmul(desc) => desc.weight_bytes(bytes_per_operand),
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Simulates one shard's share of a single denoising iteration: the
-/// per-shard analogue of [`crate::perf::simulate_iteration`].
+/// Simulates the slice `spec` of a single denoising iteration of `model` at
+/// `batch` rows: one tensor-parallel rank or pipeline stage of a gang, or
+/// the whole model under [`ShardSpec::full`] (which is how
+/// [`crate::perf::simulate_iteration`] prices a replica).
 ///
-/// `resident_frac` is the fraction of *this shard's* weight working set
-/// already GSC-resident on the member instance executing it. The returned
-/// cost is pure shard compute — the gang's collective term is added by
-/// [`PartitionPlan::combine`], which also resolves tensor-vs-pipeline
-/// latency composition.
-///
-/// # Panics
-///
-/// Panics when `shard` is out of the plan's range.
+/// `step` selects the FFN-Reuse phase (dense boundary or sparse reuse) via
+/// the model's iteration metadata. `resident_frac` is the fraction of *this
+/// slice's* weight working set already GSC-resident on the instance
+/// executing it, clamped to `[0, 1]`. The returned cost is pure compute —
+/// a gang's collective term is added by [`PartitionPlan::combine`], which
+/// also resolves tensor-vs-pipeline latency composition.
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_iteration_shard(
     hw: &HwConfig,
     model: &ModelConfig,
-    plan: &PartitionPlan,
-    shard: usize,
+    spec: &ShardSpec,
     profile: &SparsityProfile,
     ablation: SimAblation,
     batch: u64,
     step: usize,
     resident_frac: f64,
 ) -> Result<IterationCost, SimError> {
-    assert!(shard < plan.num_shards(), "shard index within the gang");
     if batch == 0 {
         return Err(SimError::ZeroBatch);
     }
@@ -438,7 +410,7 @@ pub fn simulate_iteration_shard(
         flags_for_step(model, ablation, step),
         active_profile,
         batch,
-        plan.spec(shard),
+        spec,
     );
     let mut sim = crate::dsc::DscSimulator::new(hw);
     sim.preload_weight_fraction(resident_frac.clamp(0.0, 1.0));
@@ -526,8 +498,7 @@ mod tests {
                 simulate_iteration_shard(
                     &hw,
                     &model,
-                    &plan,
-                    s,
+                    plan.spec(s),
                     &profile,
                     SimAblation::Base,
                     1,
@@ -570,8 +541,7 @@ mod tests {
                 simulate_iteration_shard(
                     &hw,
                     &model,
-                    &plan,
-                    s,
+                    plan.spec(s),
                     &profile,
                     SimAblation::Base,
                     1,

@@ -6,7 +6,8 @@ use serde::{Deserialize, Serialize};
 use crate::config::HwConfig;
 use crate::dsc::{DscReport, DscSimulator};
 use crate::energy::Engine;
-use crate::workload::{build_iteration, IterationKindFlags, SparsityProfile};
+use crate::partition::simulate_iteration_shard;
+use crate::workload::{build_iteration, IterationKindFlags, ShardSpec, SparsityProfile};
 
 /// The ablation axes of Fig. 18 (`EXIONx_Base` / `_EP` / `_FFNR` / `_All`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -153,7 +154,8 @@ pub struct IterationCost {
     pub dense_ops: f64,
 }
 
-/// Simulates a single denoising iteration of `model` at `batch` rows.
+/// Simulates a single denoising iteration of `model` at `batch` rows: the
+/// whole-model case of [`simulate_iteration_shard`].
 ///
 /// `step` selects the FFN-Reuse phase (dense boundary or sparse reuse) via
 /// the model's iteration metadata. `resident_frac` is the fraction of the
@@ -171,38 +173,16 @@ pub fn simulate_iteration(
     step: usize,
     resident_frac: f64,
 ) -> Result<IterationCost, SimError> {
-    if batch == 0 {
-        return Err(SimError::ZeroBatch);
-    }
-    if step >= model.iterations {
-        return Err(SimError::StepOutOfRange {
-            step,
-            iterations: model.iterations,
-        });
-    }
-    let dense_profile = SparsityProfile::dense();
-    let active_profile = if ablation == SimAblation::Base {
-        &dense_profile
-    } else {
-        profile
-    };
-    let plan = build_iteration(
-        &model.paper,
-        model.network,
-        model.geglu,
-        flags_for_step(model, ablation, step),
-        active_profile,
+    simulate_iteration_shard(
+        hw,
+        model,
+        &ShardSpec::full(&model.paper),
+        profile,
+        ablation,
         batch,
-    );
-    let mut sim = DscSimulator::new(hw);
-    sim.preload_weight_fraction(resident_frac.clamp(0.0, 1.0));
-    sim.execute_iteration(&plan);
-    let detail = sim.finish();
-    Ok(IterationCost {
-        latency_ms: detail.seconds * 1e3,
-        energy_mj: detail.total_energy_mj(),
-        dense_ops: 2.0 * plan.dense_equivalent_macs as f64,
-    })
+        step,
+        resident_frac,
+    )
 }
 
 /// Simulates one benchmark end to end on an accelerator instance.

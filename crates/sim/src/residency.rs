@@ -16,7 +16,9 @@ use std::collections::HashMap;
 use exion_model::config::{ModelConfig, NetworkType};
 use serde::{Deserialize, Serialize};
 
-use crate::workload::{build_iteration, DscOp, IterationKindFlags, SparsityProfile};
+use crate::workload::{
+    build_iteration_shard, DscOp, IterationKindFlags, ShardSpec, SparsityProfile,
+};
 
 /// Fraction of a `working_set`-byte object that fits in `capacity` bytes.
 ///
@@ -370,7 +372,18 @@ impl GscCache {
 /// every weight matrix streamed once, dense (the residency working set; the
 /// sparse phase streams a subset of the same bytes).
 pub fn model_weight_bytes(model: &ModelConfig, bytes_per_operand: f64) -> u64 {
-    let plan = build_iteration(
+    spec_weight_bytes(model, &ShardSpec::full(&model.paper), bytes_per_operand)
+}
+
+/// Dense weight bytes of the iteration slice `spec` executes — the
+/// residency working set of one shard, or of the whole model under
+/// [`ShardSpec::full`].
+pub(crate) fn spec_weight_bytes(
+    model: &ModelConfig,
+    spec: &ShardSpec,
+    bytes_per_operand: f64,
+) -> u64 {
+    let plan = build_iteration_shard(
         &model.paper,
         model.network,
         model.geglu,
@@ -381,6 +394,7 @@ pub fn model_weight_bytes(model: &ModelConfig, bytes_per_operand: f64) -> u64 {
         },
         &SparsityProfile::dense(),
         1,
+        spec,
     );
     plan.ops
         .iter()

@@ -7,8 +7,9 @@
 //!   run's track declarations. Busy/idle/collective/refill/drain slices
 //!   become complete (`ph: "X"`) events; collectives and refills nest
 //!   inside their iteration's busy slice.
-//! - **pid 0, tid 0** — planner markers ([`InstantMarker`]) as global
-//!   instant (`ph: "i"`) events.
+//! - **pid 0, tid 0** — planner markers
+//!   ([`InstantMarker`](crate::sink::InstantMarker)) as global instant
+//!   (`ph: "i"`) events.
 //! - **pid 0 counter tracks** — [`CounterSample`] readings (queue depth,
 //!   GSC occupancy, in-flight rows) as counter (`ph: "C"`) events, one
 //!   named track per `(instance, counter)` pair, so Perfetto shows *why*

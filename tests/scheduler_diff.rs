@@ -1,9 +1,9 @@
 //! Differential pin of the indexed scheduler: on randomized traces the
-//! bucket-indexed admission path (`Instance::admit`) must make decisions
-//! identical to the retained linear-scan reference
-//! (`Instance::admit_reference`) — same seeds, same joins, same parks,
-//! same resumes, same clocks, and byte-identical queue evolution — across
-//! all four builtin policies. Fingerprint parity of whole runs (sinks on
+//! bucket-indexed admission path (`Gang::admit` on a replica unit) must
+//! make decisions identical to the retained linear-scan reference
+//! (`Instance::admit_reference` on the leader) — same seeds, same joins,
+//! same parks, same resumes, same clocks, and byte-identical queue
+//! evolution — across all four builtin policies. Fingerprint parity of whole runs (sinks on
 //! and off) is pinned separately by `tests/event_core.rs`' goldens; this
 //! test closes the gap at the single-decision level, where a divergence
 //! is actually debuggable.
@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use exion::model::config::{ModelConfig, ModelKind};
-use exion::serve::{policy, CostModel, Instance, ReadyQueue, Request, SchedContext};
+use exion::serve::{policy, CostModel, Gang, ReadyQueue, Request, SchedContext};
 use exion::sim::config::HwConfig;
 use exion::sim::partition::Interconnect;
 use exion::sim::perf::SimAblation;
@@ -76,7 +76,7 @@ fn sample_script(seed: u64, len: usize) -> Vec<ScriptedArrival> {
         .collect()
 }
 
-/// Drives one (instance, queue) pair per scheduler through the same
+/// Drives one (replica unit, queue) pair per scheduler through the same
 /// script and asserts bit-equality after every decision.
 fn run_differential(
     policy: Arc<dyn policy::SchedulerPolicy>,
@@ -85,8 +85,8 @@ fn run_differential(
 ) {
     let ctx = ctx_for(policy, max_batch);
     let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
-    let mut inst_a = Instance::new(0, &HwConfig::exion4(), EvictionPolicy::Lru);
-    let mut inst_b = Instance::new(0, &HwConfig::exion4(), EvictionPolicy::Lru);
+    let mut unit_a = Gang::replica(0, &HwConfig::exion4(), EvictionPolicy::Lru);
+    let mut unit_b = Gang::replica(0, &HwConfig::exion4(), EvictionPolicy::Lru);
     let mut queue_a = ReadyQueue::new();
     let mut queue_b = ReadyQueue::new();
 
@@ -102,7 +102,7 @@ fn run_differential(
         if let Some(a) = pending.next() {
             let kind = KINDS[a.kind_idx];
             let info = ctx.info(kind);
-            let at_ms = inst_a.now_ms + a.gap_ms;
+            let at_ms = unit_a.now_ms() + a.gap_ms;
             let steps = info.config.iterations;
             let slo_ms = a.slo_scale * steps as f64 * info.warm_step_ms;
             let mut r = Request::new(next_id, kind, at_ms, slo_ms, steps);
@@ -114,21 +114,22 @@ fn run_differential(
             }
             // The clock may sit behind the arrival: jump both mirrors
             // forward so the push lands visible (release semantics).
-            inst_a.now_ms = inst_a.now_ms.max(at_ms);
-            inst_b.now_ms = inst_b.now_ms.max(at_ms);
+            unit_a.jump_to(at_ms);
+            unit_b.jump_to(at_ms);
             queue_a.push(r, &ctx);
             queue_b.push(r, &ctx);
-        } else if queue_a.is_empty() && inst_a.running.is_empty() {
+        } else if queue_a.is_empty() && unit_a.leader().running.is_empty() {
             break;
         }
         steps_left -= 1;
         assert!(steps_left > 0, "differential driver failed to drain");
 
-        let out_a = inst_a.admit(&mut queue_a, &ctx, &mut []);
-        let out_b = inst_b.admit_reference(&mut queue_b, &ctx, &mut []);
+        let out_a = unit_a.admit(&mut queue_a, &ctx);
+        let out_b = unit_b.members[0].admit_reference(&mut queue_b, &ctx, &mut []);
         assert_eq!(out_a, out_b, "admit outcomes diverged");
         assert_eq!(
-            inst_a.running, inst_b.running,
+            unit_a.leader().running,
+            unit_b.leader().running,
             "running batches diverged after admit"
         );
         assert_eq!(
@@ -137,13 +138,13 @@ fn run_differential(
             "queue evolution diverged after admit"
         );
         assert_eq!(
-            inst_a.now_ms.to_bits(),
-            inst_b.now_ms.to_bits(),
+            unit_a.now_ms().to_bits(),
+            unit_b.now_ms().to_bits(),
             "clocks diverged after admit"
         );
-        assert_eq!(inst_a.active_model, inst_b.active_model);
+        assert_eq!(unit_a.leader().active_model, unit_b.leader().active_model);
 
-        if inst_a.running.is_empty() {
+        if unit_a.leader().running.is_empty() {
             // Nothing admissible yet (a deferred request's ready time lies
             // ahead): jump past the earliest wake like the cluster would.
             if pending.len() == 0 {
@@ -152,22 +153,25 @@ fn run_differential(
                     .map(|r| r.ready_ms)
                     .fold(f64::INFINITY, f64::min);
                 assert!(wake.is_finite(), "stuck with an empty batch");
-                inst_a.now_ms = inst_a.now_ms.max(wake);
-                inst_b.now_ms = inst_b.now_ms.max(wake);
+                unit_a.jump_to(wake);
+                unit_b.jump_to(wake);
             }
             continue;
         }
-        let done_a = inst_a.execute_iteration(&mut cost, &ctx);
-        let done_b = inst_b.execute_iteration(&mut cost, &ctx);
+        let done_a = unit_a.execute_iteration(&mut cost, &ctx);
+        let done_b = unit_b.execute_iteration(&mut cost, &ctx);
         assert_eq!(done_a, done_b, "completions diverged");
         assert_eq!(
-            inst_a.now_ms.to_bits(),
-            inst_b.now_ms.to_bits(),
+            unit_a.now_ms().to_bits(),
+            unit_b.now_ms().to_bits(),
             "clocks diverged after execute"
         );
     }
     assert_eq!(queue_a.len(), 0);
-    assert_eq!(inst_a.stats(1.0).preemptions, inst_b.stats(1.0).preemptions);
+    assert_eq!(
+        unit_a.leader().stats(1.0).preemptions,
+        unit_b.leader().stats(1.0).preemptions
+    );
 }
 
 proptest! {
