@@ -4,7 +4,7 @@
 use exion::core::conmerge::{CompactionConfig, TileCompactor};
 use exion::model::{Ablation, ExecPolicy, GenerationPipeline, ModelConfig, ModelKind, RunReport};
 use exion::sim::config::HwConfig;
-use exion::sim::perf::{simulate_model, SimAblation};
+use exion::sim::perf::{simulate_model, PerfReport, SimAblation};
 use exion::sim::workload::SparsityProfile;
 use exion::tensor::stats;
 
@@ -192,6 +192,118 @@ fn simulator_consumes_all_benchmarks() {
             );
         }
     }
+}
+
+/// A hand-written profile the grid golden pins beside the analytic one.
+/// Its nine fields all differ, so a field read in place of another moves a
+/// fingerprint.
+const HAND_PROFILE: SparsityProfile = SparsityProfile {
+    inter_sparsity: 0.83,
+    ffn_block_frac: 0.41,
+    ffn_utilization: 0.62,
+    ffn_weight_frac: 0.57,
+    intra_sparsity: 0.71,
+    attn_block_frac: 0.36,
+    attn_utilization: 0.48,
+    q_skip: 0.19,
+    kv_skip: 0.13,
+};
+
+/// The fold of [`pipeline_fingerprint`] over every field of one
+/// `simulate_model` report: the name, the five headline figures, the
+/// simulator's cycles, seconds and energies, per-engine energy and busy
+/// cycles, and the DRAM statistics.
+fn perf_fingerprint(h: &mut u64, r: &PerfReport) {
+    let mut mix = |v: u64| {
+        *h ^= v;
+        *h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for b in r.name.bytes() {
+        mix(u64::from(b));
+    }
+    let d = &r.detail;
+    for x in [
+        r.latency_ms,
+        r.energy_mj,
+        r.dense_ops,
+        r.effective_tops,
+        r.tops_per_watt,
+        d.total_cycles,
+        d.seconds,
+        d.dsc_energy_mj,
+        d.dram_energy_mj,
+        d.busy.sdue,
+        d.busy.epre,
+        d.busy.cfse,
+        d.busy.cau,
+        d.busy.dram,
+        d.dram_stats.last_completion_ns,
+    ] {
+        mix(x.to_bits());
+    }
+    for &(engine, mj) in &d.engine_energy_mj {
+        mix(engine as u64);
+        mix(mj.to_bits());
+    }
+    mix(d.dram_stats.bytes_read);
+    mix(d.dram_stats.bytes_written);
+    mix(d.dram_stats.row_hits);
+    mix(d.dram_stats.row_misses);
+}
+
+/// Denoising iterations the grid golden runs: two DiT FFN-Reuse periods
+/// plus a boundary, so every model runs both iteration classes and carries
+/// DRAM and residency state between them.
+const GRID_ITERATIONS: usize = 21;
+
+/// Per-model fingerprints of the Fig. 18/19 `simulate_model` grid at
+/// paper scale with iterations capped at [`GRID_ITERATIONS`]: EXION4 and
+/// EXION24, every ablation, batch 1 and 8, under the analytic profile and
+/// [`HAND_PROFILE`]. Captured before iteration classes were priced once
+/// per generation; the simulator must reproduce every report bit for bit.
+const GRID_GOLDENS: [(ModelKind, u64); 7] = [
+    (ModelKind::Mld, 0x8bc7_0c9b_8745_e640),
+    (ModelKind::Mdm, 0x24c1_0b36_941a_37f3),
+    (ModelKind::MakeAnAudio, 0xb660_69f5_5539_a766),
+    (ModelKind::StableDiffusion, 0xef9e_3963_3f13_4322),
+    (ModelKind::VideoCrafter2, 0xd1be_fb58_f6fe_1d96),
+    (ModelKind::Dit, 0xf2e5_06db_0ac6_07e8),
+    (ModelKind::Edge, 0x0a14_4bef_317a_5bb2),
+];
+
+#[test]
+fn simulate_model_grid_matches_its_golden_fingerprints() {
+    let pinned: Vec<ModelKind> = GRID_GOLDENS.iter().map(|g| g.0).collect();
+    assert_eq!(pinned, ModelKind::ALL, "one golden per zoo model");
+    let mut mismatches = Vec::new();
+    for (kind, golden) in GRID_GOLDENS {
+        let mut model = ModelConfig::for_kind(kind);
+        model.iterations = model.iterations.min(GRID_ITERATIONS);
+        let analytic = SparsityProfile::analytic(
+            model.ffn_reuse.target_sparsity,
+            model.ep.paper_sparsity_pct / 100.0,
+            16,
+        );
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for profile in [analytic, HAND_PROFILE] {
+            for hw in [HwConfig::exion4(), HwConfig::exion24()] {
+                for ablation in SimAblation::ALL {
+                    for batch in [1, 8] {
+                        let r = simulate_model(&hw, &model, &profile, ablation, batch);
+                        perf_fingerprint(&mut h, &r);
+                    }
+                }
+            }
+        }
+        if h != golden {
+            mismatches.push(format!("{kind:?}: {h:#018x}"));
+        }
+    }
+    assert!(
+        mismatches.is_empty(),
+        "simulate_model grid diverged from its goldens:\n{}",
+        mismatches.join("\n")
+    );
 }
 
 #[test]
