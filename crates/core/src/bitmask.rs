@@ -134,13 +134,24 @@ impl Bitmask2D {
     ///
     /// Panics if `c >= cols`.
     pub fn col_count_ones(&self, c: usize) -> usize {
-        (0..self.rows).filter(|&r| self.get(r, c)).count()
+        self.col_bits(c).filter(|&bit| bit).count()
     }
 
     /// Whether column `c` is entirely zero — the *condensing* predicate
     /// (Fig. 8: "if every element in a column are 0, remove column").
+    ///
+    /// # Panics
+    ///
+    /// Panics if `c >= cols`.
     pub fn col_is_zero(&self, c: usize) -> bool {
-        self.col_count_ones(c) == 0
+        !self.col_bits(c).any(|bit| bit)
+    }
+
+    /// Bit `c` of every row, top to bottom, read straight from the words.
+    fn col_bits(&self, c: usize) -> impl Iterator<Item = bool> + '_ {
+        assert!(c < self.cols, "bitmask index out of bounds");
+        let (word, shift) = (c / 64, c % 64);
+        (0..self.rows).map(move |r| self.words[r * self.words_per_row + word] >> shift & 1 == 1)
     }
 
     /// Fraction of zero bits (the paper's output-sparsity percentage).
@@ -167,13 +178,10 @@ impl Bitmask2D {
             row0 + height <= self.rows && c < self.cols,
             "tile out of bounds"
         );
-        let mut m = 0u64;
-        for i in 0..height {
-            if self.get(row0 + i, c) {
-                m |= 1 << i;
-            }
-        }
-        m
+        let (word, shift) = (c / 64, c % 64);
+        (0..height).fold(0, |m, i| {
+            m | (self.words[(row0 + i) * self.words_per_row + word] >> shift & 1) << i
+        })
     }
 
     /// Logical OR with another mask of the same shape.

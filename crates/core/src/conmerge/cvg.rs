@@ -123,16 +123,12 @@ impl VectorGenerator {
             let mut merged = MergedBlock::from_block(&base, self.width);
             let mut merges_done = 0;
             while merges_done < self.max_merges && !queue.is_empty() {
-                // Sorted: pair the dense front with candidates from the sparse
-                // back ("(Dense+Sparse) + Sparse_Next"). Unsorted: take blocks
-                // in their arrival order.
-                let candidate_order: Vec<usize> = if self.sorted {
-                    (0..queue.len()).rev().collect()
-                } else {
-                    (0..queue.len()).collect()
-                };
                 let mut success = None;
-                for i in candidate_order {
+                for t in 0..queue.len() {
+                    // Sorted: pair the dense front with candidates from the
+                    // sparse back ("(Dense+Sparse) + Sparse_Next"). Unsorted:
+                    // take blocks in their arrival order.
+                    let i = if self.sorted { queue.len() - 1 - t } else { t };
                     match merged.try_merge(&queue[i], (merges_done + 1) as u8) {
                         Ok((m, c)) => {
                             merge_cycles += c;

@@ -103,6 +103,9 @@ pub struct MergedBlock {
     height: usize,
     width: usize,
     slots: Vec<Option<Slot>>,
+    /// Per-column occupancy: bit `r` of entry `j` is set when slot `(r, j)`
+    /// holds work.
+    occupancy: Vec<u64>,
     cv: Vec<Option<usize>>,
     source_blocks: usize,
     relocations: usize,
@@ -123,21 +126,22 @@ impl MergedBlock {
         );
         let height = block.height();
         let mut slots = vec![None; height * width];
+        let mut occupancy = vec![0; width];
         for (j, col) in block.cols().iter().enumerate() {
-            for r in 0..height {
-                if col.mask >> r & 1 == 1 {
-                    slots[r * width + j] = Some(Slot {
-                        input_row: r,
-                        weight_col: col.origin,
-                        wmem: 0,
-                    });
-                }
+            for r in set_bits(col.mask) {
+                slots[r * width + j] = Some(Slot {
+                    input_row: r,
+                    weight_col: col.origin,
+                    wmem: 0,
+                });
             }
+            occupancy[j] = col.mask;
         }
         Self {
             height,
             width,
             slots,
+            occupancy,
             cv: vec![None; height],
             source_blocks: 1,
             relocations: 0,
@@ -184,7 +188,7 @@ impl MergedBlock {
 
     /// Number of occupied slots.
     pub fn occupied_slots(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
+        self.occupancy.iter().map(|m| m.count_ones() as usize).sum()
     }
 
     /// Occupied fraction of the array (what clock gating leaves idle).
@@ -209,6 +213,9 @@ impl MergedBlock {
     ///
     /// On success returns the merged block and the CVG cycles spent; on
     /// failure returns the cycles wasted before the failure was detected.
+    /// The merge is decided on one `u64` occupancy mask per column and the
+    /// per-lane CV; only a successful merge copies the block and writes
+    /// slots.
     ///
     /// # Panics
     ///
@@ -222,81 +229,128 @@ impl MergedBlock {
         );
         assert!(wmem == 1 || wmem == 2, "merge buffers are WMEM #1 and #2");
 
-        // Cycle 1: build the bitmask map (Fig. 14's 2-bit cell codes).
+        // Cycle 1: build the bitmask map (Fig. 14's 2-bit cell codes). An
+        // incoming bit on an empty slot places directly (code 01); one on an
+        // occupied slot is a pending conflict (code 11).
         let mut cycles = 1u64;
-        let mut next = self.clone();
-
-        // Direct placements (code 01) and the conflict list (code 11).
-        let mut conflicts: Vec<Vec<usize>> = vec![Vec::new(); self.width];
-        for (j, col) in incoming.cols().iter().enumerate() {
-            for r in 0..self.height {
-                if col.mask >> r & 1 == 0 {
-                    continue;
-                }
-                let idx = r * self.width + j;
-                if next.slots[idx].is_none() {
-                    next.slots[idx] = Some(Slot {
-                        input_row: r,
-                        weight_col: col.origin,
-                        wmem,
-                    });
-                } else {
-                    conflicts[j].push(r);
-                }
+        let n = incoming.width_used();
+        let mut inline = [MergeColumn::default(); INLINE_COLS];
+        let mut spilled = Vec::new();
+        let columns = if n <= INLINE_COLS {
+            &mut inline[..n]
+        } else {
+            spilled.resize(n, MergeColumn::default());
+            &mut spilled[..]
+        };
+        for ((column, col), &occupied) in
+            columns.iter_mut().zip(incoming.cols()).zip(&self.occupancy)
+        {
+            column.occupied = occupied | col.mask;
+            column.pending = occupied & col.mask;
+        }
+        // The CV as masks: lanes without a conflict line, and per input row
+        // the lanes reading it over theirs.
+        let mut free_lanes = 0u64;
+        let mut lanes_reading = [0u64; 64];
+        for (lane, cv) in self.cv.iter().enumerate() {
+            match cv {
+                None => free_lanes |= 1 << lane,
+                Some(row) => lanes_reading[*row] |= 1 << lane,
             }
         }
 
         // Cycle 2: initial degree-of-freedom evaluation.
         cycles += 1;
-        while conflicts.iter().any(|c| !c.is_empty()) {
+        let mut relocations = 0;
+        loop {
             // Pick the column with the smallest DOF ("Comparator → Smallest
-            // DOF"), hardest first.
+            // DOF"), hardest first: its empty slots on lanes whose CV is free
+            // or already reads one of its pending rows, minus its pending
+            // conflicts. Ties go to the first column.
             let mut best: Option<(i64, usize)> = None;
-            for (j, pending) in conflicts.iter().enumerate() {
-                if pending.is_empty() {
+            for (j, column) in columns.iter().enumerate() {
+                if column.pending == 0 {
                     continue;
                 }
-                let dof = self.column_dof(&next, j, pending);
-                if best.map(|(d, _)| dof < d).unwrap_or(true) {
+                let compatible =
+                    set_bits(column.pending).fold(free_lanes, |lanes, r| lanes | lanes_reading[r]);
+                let dof = i64::from((!column.occupied & compatible).count_ones())
+                    - i64::from(column.pending.count_ones());
+                if best.is_none_or(|(d, _)| dof < d) {
                     best = Some((dof, j));
                 }
             }
-            let (_, j) = best.expect("non-empty conflict set");
+            let Some((_, j)) = best else { break };
 
-            // First conflict slot of the column, first compatible empty slot.
-            let r = conflicts[j].remove(0);
-            let target = (0..self.height).find(|&r2| {
-                next.slots[r2 * self.width + j].is_none()
-                    && (next.cv[r2].is_none() || next.cv[r2] == Some(r))
-            });
-            let Some(r2) = target else {
+            // First conflict row of the column, first compatible empty lane.
+            let column = &mut columns[j];
+            let r = column.pending.trailing_zeros() as usize;
+            column.pending &= column.pending - 1;
+            let targets = !column.occupied & (free_lanes | lanes_reading[r]);
+            if targets == 0 {
                 return Err(cycles);
-            };
-            next.slots[r2 * self.width + j] = Some(Slot {
-                input_row: r,
-                weight_col: incoming.cols()[j].origin,
-                wmem,
-            });
-            next.cv[r2] = Some(r);
-            next.relocations += 1;
+            }
+            let bit = 1u64 << targets.trailing_zeros();
+            column.occupied |= bit;
+            free_lanes &= !bit;
+            lanes_reading[r] |= bit;
+            relocations += 1;
             cycles += 1; // one conflict-solving step
         }
 
+        let mut next = self.clone();
+        for (r, &lanes) in lanes_reading.iter().enumerate() {
+            for lane in set_bits(lanes) {
+                next.cv[lane] = Some(r);
+            }
+        }
+        for (j, (column, col)) in columns.iter().zip(incoming.cols()).enumerate() {
+            let placed = self.occupancy[j] | col.mask;
+            for r in set_bits(col.mask & !self.occupancy[j]) {
+                next.slots[r * self.width + j] = Some(Slot {
+                    input_row: r,
+                    weight_col: col.origin,
+                    wmem,
+                });
+            }
+            for lane in set_bits(column.occupied & !placed) {
+                next.slots[lane * self.width + j] = Some(Slot {
+                    input_row: next.cv[lane].expect("a relocated slot's lane reads its row"),
+                    weight_col: col.origin,
+                    wmem,
+                });
+            }
+            next.occupancy[j] = column.occupied;
+        }
+        next.relocations += relocations;
         next.source_blocks += 1;
         Ok((next, cycles))
     }
+}
 
-    /// Degree of freedom of column `j` given its pending conflict rows:
-    /// compatible empty slots minus pending conflicts (Fig. 14).
-    fn column_dof(&self, state: &MergedBlock, j: usize, pending: &[usize]) -> i64 {
-        let empties = (0..self.height)
-            .filter(|&r2| {
-                state.slots[r2 * self.width + j].is_none()
-                    && (state.cv[r2].is_none() || pending.iter().any(|&r| state.cv[r2] == Some(r)))
-            })
-            .count() as i64;
-        empties - pending.len() as i64
-    }
+/// Incoming columns a merge attempt tracks on the stack; wider arrays
+/// spill to the heap.
+const INLINE_COLS: usize = 64;
+
+/// One array column's state during a merge attempt.
+#[derive(Debug, Clone, Copy, Default)]
+struct MergeColumn {
+    /// Rows holding work: the base block's, the incoming block's and the
+    /// relocations so far.
+    occupied: u64,
+    /// Incoming rows that conflicted and await relocation.
+    pending: u64,
+}
+
+/// The set bits of `mask`, lowest first.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let r = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            r
+        })
+    })
 }
 
 #[cfg(test)]

@@ -36,6 +36,19 @@ pub struct EngineBusy {
     pub dram: f64,
 }
 
+/// One iteration plan's engine cycles on one DSC and the weight bytes it
+/// streams: each sum folds the plan's ops in op order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct PlanCycles {
+    sdue: f64,
+    /// SDUE cycles weighted by block utilization (clock gating).
+    sdue_active: f64,
+    epre: f64,
+    cfse: f64,
+    cau: f64,
+    weight_bytes: u64,
+}
+
 /// Final report of a simulation run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DscReport {
@@ -117,16 +130,19 @@ impl DscSimulator {
         self.resident_weight_frac = frac;
     }
 
-    /// Executes one diffusion iteration's op list.
+    /// Executes one diffusion iteration's op list: prices the plan, then
+    /// applies it to the timeline.
     pub fn execute_iteration(&mut self, plan: &IterationPlan) {
-        let dsc = self.config.dsc_count as u64;
-        let mut sdue_c = 0.0f64;
-        let mut sdue_active = 0.0f64;
-        let mut epre_c = 0.0f64;
-        let mut cfse_c = 0.0f64;
-        let mut cau_c = 0.0f64;
-        let mut dram_bytes = 0u64;
+        let cycles = self.plan_cycles(plan);
+        self.apply(&cycles);
+    }
 
+    /// Sums one plan's per-engine cycles and weight bytes. Pure: it reads
+    /// only the plan and the hardware, so one generation prices each
+    /// iteration class once and applies the sum on every iteration of it.
+    pub(crate) fn plan_cycles(&self, plan: &IterationPlan) -> PlanCycles {
+        let dsc = self.config.dsc_count as u64;
+        let mut c = PlanCycles::default();
         for op in &plan.ops {
             match op {
                 DscOp::Mmul(desc) => {
@@ -134,10 +150,10 @@ impl DscSimulator {
                     let dense_blocks = self.sdue.dense_blocks_per_tile(desc.n) as f64;
                     let blocks = (dense_blocks * desc.block_frac)
                         .max(f64::from(u8::from(desc.block_frac > 0.0)));
-                    let c = self.sdue.mmul_cycles(m_share, desc.k_eff(), blocks) as f64;
-                    sdue_c += c;
-                    sdue_active += c * desc.utilization;
-                    dram_bytes += desc.weight_bytes(self.config.operand_bytes());
+                    let sdue = self.sdue.mmul_cycles(m_share, desc.k_eff(), blocks) as f64;
+                    c.sdue += sdue;
+                    c.sdue_active += sdue * desc.utilization;
+                    c.weight_bytes += desc.weight_bytes(self.config.operand_bytes());
                 }
                 DscOp::Special {
                     func,
@@ -145,7 +161,7 @@ impl DscSimulator {
                     width,
                 } => {
                     let share = elements.div_ceil(dsc);
-                    cfse_c += self.cfse.cycles(*func, share, *width) as f64;
+                    c.cfse += self.cfse.cycles(*func, share, *width) as f64;
                 }
                 DscOp::EpPredict {
                     tokens,
@@ -153,7 +169,7 @@ impl DscSimulator {
                     heads,
                 } => {
                     let share = tokens.div_ceil(dsc);
-                    epre_c += self.epre.attention_predict_cycles(share, *d_model, *heads) as f64;
+                    c.epre += self.epre.attention_predict_cycles(share, *d_model, *heads) as f64;
                 }
                 DscOp::CauGenerate {
                     cols,
@@ -161,17 +177,23 @@ impl DscSimulator {
                     tiles,
                 } => {
                     let tile_share = tiles.div_ceil(dsc);
-                    cau_c += (self.cau.estimate_cycles(*cols, *surviving_frac) * tile_share) as f64;
+                    c.cau += (self.cau.estimate_cycles(*cols, *surviving_frac) * tile_share) as f64;
                 }
             }
         }
+        c
+    }
 
+    /// Advances the timeline by one iteration priced at `c`: streams the
+    /// non-resident weights, then books the clock, energy and busy cycles.
+    pub(crate) fn apply(&mut self, c: &PlanCycles) {
         // DMA: weights are fetched once per tile group and broadcast;
         // streaming overlaps compute via the double/triple-buffered memories.
         // The GSC-resident fraction of the working set skips DRAM entirely;
         // residency is partial — the capacity cap and any externally
         // reported residency (a multi-tenant cache model) compose as a
         // minimum, never as an all-or-nothing warm/cold flag.
+        let dram_bytes = c.weight_bytes;
         let capacity_frac =
             crate::residency::partial_residency(self.config.gsc_bytes(), dram_bytes as f64);
         let resident = self.resident_weight_frac.min(capacity_frac);
@@ -190,21 +212,21 @@ impl DscSimulator {
         }
 
         let iter_cycles =
-            sdue_c.max(epre_c).max(cfse_c).max(cau_c).max(dram_c) + ITERATION_FILL_CYCLES;
+            c.sdue.max(c.epre).max(c.cfse).max(c.cau).max(dram_c) + ITERATION_FILL_CYCLES;
 
-        self.acc.record(Engine::Sdue, sdue_active, 1.0);
-        self.acc.record(Engine::Epre, epre_c, 1.0);
-        self.acc.record(Engine::Cfse, cfse_c, 1.0);
-        self.acc.record(Engine::Cau, cau_c, 1.0);
-        self.acc.record(Engine::Memories, sdue_c.max(cfse_c), 1.0);
+        self.acc.record(Engine::Sdue, c.sdue_active, 1.0);
+        self.acc.record(Engine::Epre, c.epre, 1.0);
+        self.acc.record(Engine::Cfse, c.cfse, 1.0);
+        self.acc.record(Engine::Cau, c.cau, 1.0);
+        self.acc.record(Engine::Memories, c.sdue.max(c.cfse), 1.0);
         self.acc.record(Engine::Control, dram_c, 1.0);
         self.acc.advance(iter_cycles);
         self.now_ns += iter_cycles * self.config.cycle_ns();
 
-        self.busy.sdue += sdue_c;
-        self.busy.epre += epre_c;
-        self.busy.cfse += cfse_c;
-        self.busy.cau += cau_c;
+        self.busy.sdue += c.sdue;
+        self.busy.epre += c.epre;
+        self.busy.cfse += c.cfse;
+        self.busy.cau += c.cau;
         self.busy.dram += dram_c;
     }
 

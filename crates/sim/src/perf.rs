@@ -4,7 +4,7 @@ use exion_model::config::ModelConfig;
 use serde::{Deserialize, Serialize};
 
 use crate::config::HwConfig;
-use crate::dsc::{DscReport, DscSimulator};
+use crate::dsc::{DscReport, DscSimulator, PlanCycles};
 use crate::energy::Engine;
 use crate::partition::simulate_iteration_shard;
 use crate::workload::{build_iteration, IterationKindFlags, ShardSpec, SparsityProfile};
@@ -219,26 +219,38 @@ pub fn try_simulate_model(
     if batch == 0 {
         return Err(SimError::ZeroBatch);
     }
-    let mut sim = DscSimulator::new(hw);
     let dense_profile = SparsityProfile::dense();
+    let active_profile = if ablation == SimAblation::Base {
+        &dense_profile
+    } else {
+        profile
+    };
+    let mut sim = DscSimulator::new(hw);
+    // Within one generation the plan depends only on the iteration's flags,
+    // which take at most two values (the dense and the sparse FFN-Reuse
+    // step): price each class once, apply it on every iteration.
+    let mut classes: Vec<(IterationKindFlags, PlanCycles, u64)> = Vec::with_capacity(2);
     let mut dense_macs = 0u64;
-
     for i in 0..model.iterations {
-        let active_profile = if ablation == SimAblation::Base {
-            &dense_profile
-        } else {
-            profile
+        let flags = flags_for_step(model, ablation, i);
+        let class = match classes.iter().position(|(f, ..)| *f == flags) {
+            Some(class) => class,
+            None => {
+                let plan = build_iteration(
+                    &model.paper,
+                    model.network,
+                    model.geglu,
+                    flags,
+                    active_profile,
+                    batch,
+                );
+                classes.push((flags, sim.plan_cycles(&plan), plan.dense_equivalent_macs));
+                classes.len() - 1
+            }
         };
-        let plan = build_iteration(
-            &model.paper,
-            model.network,
-            model.geglu,
-            flags_for_step(model, ablation, i),
-            active_profile,
-            batch,
-        );
-        dense_macs += plan.dense_equivalent_macs;
-        sim.execute_iteration(&plan);
+        let (_, cycles, macs) = &classes[class];
+        dense_macs += macs;
+        sim.apply(cycles);
     }
 
     let detail = sim.finish();
