@@ -5,7 +5,8 @@
 //! (Cambricon-D slightly ahead thanks to its conv differential
 //! acceleration); DiT — Cambricon-D 3.3×, EXION42 5.2× (EXION ahead on
 //! transformer-only networks). The *structural* crossover is the claim this
-//! experiment reproduces.
+//! experiment checks: [`render`] states who leads on each model, from the
+//! measured rows, and whether the paper's crossover reproduced.
 
 use exion_gpu::cambricon::CambriconD;
 use exion_gpu::diffusion_cost::estimate_generation;
@@ -80,11 +81,42 @@ pub fn render(rows: &[Row]) -> String {
         &["Benchmark", "Cambricon-D", "EXION42_All"],
         &table_rows,
     ));
-    out.push_str(
-        "\nShape check: Cambricon-D leads on the conv-heavy model; EXION leads on the\n\
-         transformer-only model (its output sparsity lives in transformer blocks).\n",
-    );
+    out.push_str("\nShape check:\n");
+    for r in rows {
+        out.push_str(&format!(
+            "  {}: {} leads (paper: {} leads)\n",
+            r.model,
+            leader(r.exion_speedup, r.cambricon_speedup),
+            leader(r.paper_exion, r.paper_cambricon)
+        ));
+    }
+    let verdict = if crossover_reproduced(rows) {
+        "reproduced"
+    } else {
+        "not reproduced"
+    };
+    out.push_str(&format!(
+        "The paper's crossover, Cambricon-D ahead on the conv-heavy model and EXION\n\
+         ahead on the transformer-only model, is {verdict}.\n"
+    ));
     out
+}
+
+/// The accelerator ahead at the given speedups.
+fn leader(exion: f64, cambricon: f64) -> &'static str {
+    if exion > cambricon {
+        "EXION42"
+    } else {
+        "Cambricon-D"
+    }
+}
+
+/// Whether every row's measured leader is the paper's leader for that
+/// model, i.e. the paper's crossover reproduced.
+pub fn crossover_reproduced(rows: &[Row]) -> bool {
+    rows.iter().all(|r| {
+        leader(r.exion_speedup, r.cambricon_speedup) == leader(r.paper_exion, r.paper_cambricon)
+    })
 }
 
 /// Runs the full experiment.
@@ -119,5 +151,45 @@ mod tests {
         for r in &rows {
             assert!(r.exion_speedup > 1.0, "{}: {}", r.model, r.exion_speedup);
         }
+    }
+
+    fn row(model: &'static str, cambricon: f64, exion: f64, paper: (f64, f64)) -> Row {
+        Row {
+            model,
+            cambricon_speedup: cambricon,
+            exion_speedup: exion,
+            paper_cambricon: paper.0,
+            paper_exion: paper.1,
+        }
+    }
+
+    #[test]
+    fn shape_check_reports_what_was_measured() {
+        // EXION ahead on both models: the crossover did not reproduce, and
+        // the text must not claim Cambricon-D leads anywhere.
+        let exion_everywhere = [
+            row("Stable Diffusion", 4.47, 15.6, (7.9, 7.0)),
+            row("DiT", 3.3, 8.26, (3.3, 5.2)),
+        ];
+        let text = render(&exion_everywhere);
+        assert!(!crossover_reproduced(&exion_everywhere));
+        assert!(!text.contains("Cambricon-D leads on"), "{text}");
+        assert!(
+            text.contains("Stable Diffusion: EXION42 leads (paper: Cambricon-D leads)"),
+            "{text}"
+        );
+        assert!(text.contains("is not reproduced"), "{text}");
+
+        let as_in_paper = [
+            row("Stable Diffusion", 7.9, 7.0, (7.9, 7.0)),
+            row("DiT", 3.3, 5.2, (3.3, 5.2)),
+        ];
+        let text = render(&as_in_paper);
+        assert!(crossover_reproduced(&as_in_paper));
+        assert!(
+            text.contains("Stable Diffusion: Cambricon-D leads (paper: Cambricon-D leads)"),
+            "{text}"
+        );
+        assert!(text.contains("is reproduced"), "{text}");
     }
 }

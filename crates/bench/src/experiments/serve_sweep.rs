@@ -635,7 +635,9 @@ pub fn measured_profile_comparison(
         // then prices the paper-scale serving workload.
         let config = ModelConfig::for_kind(kind).shrunk(2, iteration_cap);
         let m = measure_profile(&config, iteration_cap, SWEEP_SEED);
-        measured.set_sparsity_profile(kind, m.profile);
+        measured
+            .set_sparsity_profile(kind, m.profile)
+            .expect("measured profiles are fractions in [0, 1]");
     }
     let measured_report = measured.run(&trace);
     (analytic_report, measured_report)

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use exion_model::config::{ModelConfig, ModelKind};
 use exion_sim::config::HwConfig;
 use exion_sim::partition::{Interconnect, PartitionStrategy};
-use exion_sim::perf::SimAblation;
+use exion_sim::perf::{SimAblation, SimError};
 use exion_sim::residency::EvictionPolicy;
 use exion_telemetry::{
     CounterSample, InstantMarker, LogHistogram, NullSink, RequestEvent, Sink, SliceKind,
@@ -809,13 +809,14 @@ impl ServeSimulator {
     /// Installs a measured sparsity profile for `kind` (e.g. from
     /// `exion-bench::profiles` functional runs): all subsequent pricing —
     /// iteration costs, SLO scaling, capacity estimates — uses it instead
-    /// of the analytic closed form.
+    /// of the analytic closed form. An invalid profile is rejected as
+    /// [`SimError::InvalidProfile`] and changes nothing.
     pub fn set_sparsity_profile(
         &mut self,
         kind: ModelKind,
         profile: exion_sim::workload::SparsityProfile,
-    ) {
-        self.cost.set_profile(kind, profile);
+    ) -> Result<(), SimError> {
+        self.cost.set_profile(kind, profile)
     }
 
     fn model_config(&mut self, kind: ModelKind) -> ModelConfig {
@@ -2277,6 +2278,25 @@ impl<'a> ClusterRun<'a> {
 mod tests {
     use super::*;
     use crate::planner::PlannerConfig;
+
+    #[test]
+    fn set_sparsity_profile_rejects_invalid_profiles() {
+        let mut sim = ServeSimulator::new(ServeConfig::new(HwConfig::exion4()));
+        let model = ModelConfig::for_kind(ModelKind::Mld);
+        let valid = CostModel::analytic_profile(&model);
+        let bad = exion_sim::workload::SparsityProfile {
+            ffn_block_frac: -3.0,
+            attn_block_frac: 7.5,
+            ..valid
+        };
+        assert_eq!(
+            sim.set_sparsity_profile(ModelKind::Mld, bad),
+            Err(SimError::InvalidProfile {
+                field: "ffn_block_frac"
+            })
+        );
+        assert_eq!(sim.set_sparsity_profile(ModelKind::Mld, valid), Ok(()));
+    }
 
     #[test]
     fn try_build_accepts_valid_placements() {

@@ -103,11 +103,18 @@ impl CostModel {
     /// Installs a measured sparsity profile for `kind` (from
     /// `exion-bench::profiles` functional runs), replacing the analytic
     /// closed form for all subsequent pricing. Cached costs of that model
-    /// are invalidated.
-    pub fn set_profile(&mut self, kind: ModelKind, profile: SparsityProfile) {
+    /// are invalidated. An invalid profile ([`SparsityProfile::validate`])
+    /// is rejected here, where it is installed, and changes nothing.
+    pub fn set_profile(
+        &mut self,
+        kind: ModelKind,
+        profile: SparsityProfile,
+    ) -> Result<(), SimError> {
+        profile.validate()?;
         self.profiles.insert(kind, profile);
         self.memo.retain(|(k, _, _), _| *k != kind);
         self.isolated.remove(&kind);
+        Ok(())
     }
 
     /// The profile `model` is priced under: the measured override when
@@ -274,7 +281,7 @@ impl CostModel {
         resident_frac: f64,
         contention_ms: f64,
     ) -> IterationCost {
-        const PRICEABLE: &str = "positive batch and in-range steps cannot fail";
+        const PRICEABLE: &str = "positive batch, in-range steps and installed profiles cannot fail";
         let mut shards = Vec::with_capacity(plan.map_or(0, PartitionPlan::num_shards));
         let mut total = IterationCost {
             latency_ms: 0.0,
@@ -314,14 +321,6 @@ impl CostModel {
     /// the device's read/write energy (`DramTiming::rw_pj_per_bit`).
     pub fn dram_mj_per_byte(&self) -> f64 {
         8.0 * self.hw.dram_timing().rw_pj_per_bit * 1e-9
-    }
-
-    /// Estimated wall-clock cost (ms) of streaming the *entire* weight
-    /// working set of `model` from DRAM: the upper bound a fully cold
-    /// switch adds to the first iteration, and the refill currency
-    /// residency-aware routing and cost-aware eviction rank tenants by.
-    pub fn full_refill_ms(&self, weight_bytes: u64) -> f64 {
-        weight_bytes as f64 * self.dram_ms_per_byte()
     }
 
     /// Isolated batch-1 generation latency of `model` on this hardware
@@ -456,7 +455,7 @@ mod tests {
         let mut measured = CostModel::analytic_profile(&model);
         measured.inter_sparsity *= 0.5;
         measured.ffn_block_frac = (measured.ffn_block_frac * 2.0).min(1.0);
-        cm.set_profile(ModelKind::Mdm, measured);
+        cm.set_profile(ModelKind::Mdm, measured).unwrap();
         let overridden = cm
             .iteration(&model, 4, IterationPhase::Sparse, 1.0)
             .unwrap();
@@ -469,6 +468,30 @@ mod tests {
         // Other models keep their analytic pricing.
         let mld = ModelConfig::for_kind(ModelKind::Mld);
         assert_eq!(cm.profile_for(&mld), CostModel::analytic_profile(&mld));
+    }
+
+    #[test]
+    fn invalid_profiles_are_rejected_where_installed() {
+        let mut cm = CostModel::new(HwConfig::exion24(), SimAblation::All);
+        let model = ModelConfig::for_kind(ModelKind::Dit);
+        let before = cm
+            .iteration(&model, 1, IterationPhase::Sparse, 1.0)
+            .unwrap();
+        let mut bad = CostModel::analytic_profile(&model);
+        bad.inter_sparsity = f64::NAN;
+        bad.ffn_weight_frac = f64::NAN;
+        assert_eq!(
+            cm.set_profile(ModelKind::Dit, bad),
+            Err(SimError::InvalidProfile {
+                field: "inter_sparsity"
+            })
+        );
+        // Nothing was installed: the model still prices analytically.
+        assert_eq!(cm.profile_for(&model), CostModel::analytic_profile(&model));
+        let after = cm
+            .iteration(&model, 1, IterationPhase::Sparse, 1.0)
+            .unwrap();
+        assert_eq!(after, before);
     }
 
     #[test]

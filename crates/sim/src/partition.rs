@@ -376,7 +376,9 @@ impl PartitionPlan {
 /// slice's* weight working set already GSC-resident on the instance
 /// executing it, clamped to `[0, 1]`. The returned cost is pure compute —
 /// a gang's collective term is added by [`PartitionPlan::combine`], which
-/// also resolves tensor-vs-pipeline latency composition.
+/// also resolves tensor-vs-pipeline latency composition. A zero batch, a
+/// step past the schedule and an invalid profile
+/// ([`SparsityProfile::validate`]) are rejected as a [`SimError`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_iteration_shard(
     hw: &HwConfig,
@@ -397,6 +399,7 @@ pub fn simulate_iteration_shard(
             iterations: model.iterations,
         });
     }
+    profile.validate()?;
     let dense_profile = SparsityProfile::dense();
     let active_profile = if ablation == SimAblation::Base {
         &dense_profile

@@ -65,6 +65,11 @@ pub enum SimError {
         /// The model's iteration count.
         iterations: usize,
     },
+    /// A [`SparsityProfile`] field is NaN, infinite or outside `[0, 1]`.
+    InvalidProfile {
+        /// The first offending field.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for SimError {
@@ -73,6 +78,12 @@ impl std::fmt::Display for SimError {
             SimError::ZeroBatch => write!(f, "batch must be positive"),
             SimError::StepOutOfRange { step, iterations } => {
                 write!(f, "step {step} out of range for {iterations} iterations")
+            }
+            SimError::InvalidProfile { field } => {
+                write!(
+                    f,
+                    "sparsity profile field {field} is not a fraction in [0, 1]"
+                )
             }
         }
     }
@@ -193,8 +204,8 @@ pub fn simulate_iteration(
 ///
 /// # Panics
 ///
-/// Panics if `batch == 0`. [`try_simulate_model`] is the non-panicking
-/// variant.
+/// Panics if `batch == 0` or `profile` is invalid. [`try_simulate_model`]
+/// is the non-panicking variant.
 pub fn simulate_model(
     hw: &HwConfig,
     model: &ModelConfig,
@@ -208,7 +219,8 @@ pub fn simulate_model(
     }
 }
 
-/// Non-panicking [`simulate_model`]: rejects `batch == 0` as a [`SimError`].
+/// Non-panicking [`simulate_model`]: rejects `batch == 0` and an invalid
+/// profile ([`SparsityProfile::validate`]) as a [`SimError`].
 pub fn try_simulate_model(
     hw: &HwConfig,
     model: &ModelConfig,
@@ -219,6 +231,7 @@ pub fn try_simulate_model(
     if batch == 0 {
         return Err(SimError::ZeroBatch);
     }
+    profile.validate()?;
     let dense_profile = SparsityProfile::dense();
     let active_profile = if ablation == SimAblation::Base {
         &dense_profile
@@ -436,6 +449,72 @@ mod tests {
                 iterations: model.iterations
             })
         );
+    }
+
+    /// Profiles with NaN, out-of-range and infinite fields, each with the
+    /// first field validation names.
+    fn invalid_profiles(model: &ModelConfig) -> [(SparsityProfile, &'static str); 3] {
+        let valid = profile_for(model);
+        [
+            (
+                SparsityProfile {
+                    inter_sparsity: f64::NAN,
+                    ffn_weight_frac: f64::NAN,
+                    ..valid
+                },
+                "inter_sparsity",
+            ),
+            (
+                SparsityProfile {
+                    ffn_block_frac: -3.0,
+                    attn_block_frac: 7.5,
+                    ..valid
+                },
+                "ffn_block_frac",
+            ),
+            (
+                SparsityProfile {
+                    kv_skip: f64::INFINITY,
+                    ..valid
+                },
+                "kv_skip",
+            ),
+        ]
+    }
+
+    #[test]
+    fn invalid_profiles_are_rejected_at_every_entry_point() {
+        let model = ModelConfig::for_kind(ModelKind::Dit);
+        let hw = HwConfig::exion24();
+        let valid = profile_for(&model);
+        assert_eq!(valid.validate(), Ok(()));
+        assert!(try_simulate_model(&hw, &model, &valid, SimAblation::All, 1).is_ok());
+        let tp_rank = ShardSpec::tensor(&model.paper, 2, 1);
+        for (profile, field) in invalid_profiles(&model) {
+            let want = Some(SimError::InvalidProfile { field });
+            assert_eq!(profile.validate().err(), want);
+            // `Base` prices a dense profile, but a bad input is still
+            // rejected rather than ignored.
+            for ablation in [SimAblation::Base, SimAblation::All] {
+                let whole = try_simulate_model(&hw, &model, &profile, ablation, 1);
+                assert_eq!(whole.err(), want, "{field} under {ablation:?}");
+            }
+            let step = simulate_iteration(&hw, &model, &profile, SimAblation::All, 1, 1, 1.0);
+            assert_eq!(step.err(), want, "{field}");
+            let shard = simulate_iteration_shard(
+                &hw,
+                &model,
+                &tp_rank,
+                &profile,
+                SimAblation::All,
+                1,
+                1,
+                1.0,
+            );
+            assert_eq!(shard.err(), want, "{field}");
+        }
+        let msg = SimError::InvalidProfile { field: "q_skip" }.to_string();
+        assert!(msg.contains("q_skip"), "{msg}");
     }
 
     #[test]

@@ -10,6 +10,7 @@ use exion_model::config::{NetworkType, ScaleParams};
 use serde::{Deserialize, Serialize};
 
 use crate::cfse::{CfseWidth, SpecialFunc};
+use crate::perf::SimError;
 
 /// Sparsity and compaction summary of one model under one ablation.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -47,6 +48,28 @@ impl SparsityProfile {
             attn_utilization: 1.0,
             q_skip: 0.0,
             kv_skip: 0.0,
+        }
+    }
+
+    /// Checks that every field is a finite fraction in `[0, 1]`, naming the
+    /// first that is not. A NaN or out-of-range field would otherwise price
+    /// silently: NaN work casts to zero rows, a block fraction above 1 runs
+    /// more blocks than the dense layer has.
+    pub fn validate(&self) -> Result<(), SimError> {
+        let fields = [
+            ("inter_sparsity", self.inter_sparsity),
+            ("ffn_block_frac", self.ffn_block_frac),
+            ("ffn_utilization", self.ffn_utilization),
+            ("ffn_weight_frac", self.ffn_weight_frac),
+            ("intra_sparsity", self.intra_sparsity),
+            ("attn_block_frac", self.attn_block_frac),
+            ("attn_utilization", self.attn_utilization),
+            ("q_skip", self.q_skip),
+            ("kv_skip", self.kv_skip),
+        ];
+        match fields.iter().find(|(_, v)| !(0.0..=1.0).contains(v)) {
+            Some(&(field, _)) => Err(SimError::InvalidProfile { field }),
+            None => Ok(()),
         }
     }
 
