@@ -113,7 +113,7 @@ fn leader(exion: f64, cambricon: f64) -> &'static str {
 
 /// Whether every row's measured leader is the paper's leader for that
 /// model, i.e. the paper's crossover reproduced.
-pub fn crossover_reproduced(rows: &[Row]) -> bool {
+fn crossover_reproduced(rows: &[Row]) -> bool {
     rows.iter().all(|r| {
         leader(r.exion_speedup, r.cambricon_speedup) == leader(r.paper_exion, r.paper_cambricon)
     })

@@ -485,6 +485,27 @@ mod tests {
     }
 
     #[test]
+    fn arrays_wider_than_the_inline_columns_merge() {
+        // 70 columns: the attempt tracks its columns on the heap. Only the
+        // last column conflicts, at row 0, and relocates to lane 1.
+        let base = block(4, &(0..70).map(|c| (c, 0b0001)).collect::<Vec<_>>());
+        let incoming = block(
+            4,
+            &(0..70)
+                .map(|c| (100 + c, if c == 69 { 0b0001 } else { 0b0010 }))
+                .collect::<Vec<_>>(),
+        );
+        let m = MergedBlock::from_block(&base, 70);
+        let (merged, cycles) = m.try_merge(&incoming, 1).expect("one relocation");
+        assert_eq!(merged.relocations(), 1);
+        assert_eq!(cycles, 3);
+        assert_eq!(merged.cv()[1], Some(0));
+        let moved = merged.slot(1, 69).expect("relocated slot");
+        assert_eq!((moved.input_row, moved.weight_col), (0, 169));
+        assert_eq!(merged.occupied_slots(), 140);
+    }
+
+    #[test]
     #[should_panic(expected = "merge buffers")]
     fn rejects_buffer_zero_for_merging() {
         let a = block(2, &[(0, 0b01)]);
