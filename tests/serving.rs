@@ -8,8 +8,9 @@
 //! tenant class's p95 under preemptive EDF beats non-preemptive EDF and
 //! FCFS on the seeded bursty trace), degrade-budget safety (a degraded
 //! request's step budget stays deadline-feasible and above the quality
-//! floor), and the trait-based control plane's exact parity with the
-//! pre-refactor enum scheduler on a fixed seed.
+//! floor), the trait-based control plane's exact parity with the
+//! pre-refactor enum scheduler on a fixed seed, and goldens that pin every
+//! planner candidate score and capacity estimate bit for bit.
 
 use std::collections::HashSet;
 
@@ -702,6 +703,170 @@ proptest! {
             prop_assert!((0.0..=1.0).contains(&c.slo_attainment));
         }
     }
+}
+
+/// One FNV-style step over a 64-bit word — the fold of the projection
+/// goldens below.
+fn fnv(h: u64, word: u64) -> u64 {
+    (h ^ word).wrapping_mul(0x0000_0100_0000_01b3)
+}
+
+/// Folds every field of a placement: unit counts, the strategy and the
+/// fabric's link parameters.
+fn fold_placement(h: u64, p: &Placement) -> u64 {
+    let link = p.interconnect;
+    [
+        p.replicas as u64,
+        p.gangs as u64,
+        link.link_gbps.to_bits(),
+        link.latency_us.to_bits(),
+        link.pj_per_bit.to_bits(),
+    ]
+    .into_iter()
+    .chain(p.strategy.label().bytes().map(u64::from))
+    .chain(link.topology.name().bytes().map(u64::from))
+    .fold(h, fnv)
+}
+
+/// Budgets the planner golden enumerates at.
+const GOLDEN_BUDGETS: [usize; 5] = [1, 2, 3, 4, 8];
+
+/// Light, mid and overload forecasts, as fractions of the budget's warm
+/// replicated capacity.
+const GOLDEN_LOADS: [f64; 3] = [0.1, 0.6, 2.0];
+
+/// Placements the capacity golden estimates: replica-only, every
+/// single-strategy gang placement and mixed clusters, on both fabrics.
+fn capacity_golden_placements() -> Vec<Placement> {
+    let tp2 = PartitionStrategy::Tensor { ways: 2 };
+    let tp4 = PartitionStrategy::Tensor { ways: 4 };
+    let pp2 = PartitionStrategy::Pipeline { stages: 2 };
+    let pp4 = PartitionStrategy::Pipeline { stages: 4 };
+    let mut out = vec![
+        Placement::replicated(1),
+        Placement::replicated(3),
+        Placement::sharded(1, tp2),
+        Placement::sharded(2, tp2),
+        Placement::sharded(1, tp4),
+        Placement::sharded(1, pp2),
+        Placement::sharded(1, pp4),
+        Placement::mixed(1, 1, tp2),
+        Placement::mixed(2, 1, pp2),
+        Placement::mixed(1, 1, tp4),
+    ];
+    let fully_connected: Vec<Placement> = out
+        .iter()
+        .filter(|p| p.gangs > 0)
+        .map(|p| p.with_interconnect(Interconnect::all_to_all()))
+        .collect();
+    out.extend(fully_connected);
+    out
+}
+
+/// Per hardware and mix: every `CandidateScore` field of every candidate,
+/// over ring and all-to-all fabrics × `GOLDEN_BUDGETS` × `GOLDEN_LOADS`.
+const PLANNER_GOLDENS: [(&str, u64); 8] = [
+    ("exion4 multi-tenant", 0x5d1b_ef84_2cf4_bbb5),
+    ("exion4 text-to-video", 0xa278_5e15_0b2c_a19f),
+    ("exion4 size-skew", 0x7fe0_f056_d1c5_79b3),
+    ("exion4 text-to-motion", 0x25e9_1269_36b8_cc29),
+    ("exion24 multi-tenant", 0x05ac_3bf0_000d_c851),
+    ("exion24 text-to-video", 0x4b69_545f_9a67_5d79),
+    ("exion24 size-skew", 0x97f7_9bbf_847b_ebe6),
+    ("exion24 text-to-motion", 0xff36_2cf5_0daa_a6d7),
+];
+
+/// Per hardware and mix: `capacity_estimate_rps` over
+/// `capacity_golden_placements`.
+const CAPACITY_GOLDENS: [(&str, u64); 8] = [
+    ("exion4 multi-tenant", 0x4aa4_6b76_8382_e411),
+    ("exion4 text-to-video", 0xfe09_84d2_b3b4_c74a),
+    ("exion4 size-skew", 0x66d8_45e2_3e97_e46c),
+    ("exion4 text-to-motion", 0x178c_c532_ff3c_38e3),
+    ("exion24 multi-tenant", 0xfc47_6cbf_aa18_15f8),
+    ("exion24 text-to-video", 0x6fb8_f562_9cff_ede1),
+    ("exion24 size-skew", 0xb9a0_844c_059a_410b),
+    ("exion24 text-to-motion", 0x8d68_bf34_8ad1_ca60),
+];
+
+#[test]
+fn planner_scores_and_capacity_estimates_match_their_goldens() {
+    let mixes = [
+        ("multi-tenant", WorkloadMix::multi_tenant()),
+        ("text-to-video", WorkloadMix::text_to_video()),
+        ("size-skew", WorkloadMix::size_skew()),
+        ("text-to-motion", WorkloadMix::text_to_motion()),
+    ];
+    let mut cells = Vec::new();
+    for (hw_name, hw) in [
+        ("exion4", HwConfig::exion4()),
+        ("exion24", HwConfig::exion24()),
+    ] {
+        // One memo serves the whole grid: iteration costs do not depend
+        // on the fabric, the budget or the forecast.
+        let mut cost = CostModel::new(hw, exion::sim::perf::SimAblation::All);
+        for (mix_name, mix) in &mixes {
+            let total_w: f64 = mix.entries.iter().map(|&(_, w, _)| w).sum();
+            let warm_spr: f64 = mix
+                .entries
+                .iter()
+                .map(|&(kind, w, _)| {
+                    w / total_w * cost.generation_latency_ms(&ModelConfig::for_kind(kind), 8)
+                        / 8_000.0
+                })
+                .sum();
+            let mut planner_h = 0xcbf2_9ce4_8422_2325;
+            for interconnect in [Interconnect::ring(), Interconnect::all_to_all()] {
+                for budget in GOLDEN_BUDGETS {
+                    let mut config = PlannerConfig::new(budget).with_interconnect(interconnect);
+                    config.beam_width = usize::MAX;
+                    let planner = PlacementPlanner::new(config);
+                    for load in GOLDEN_LOADS {
+                        let forecast = load * budget as f64 / warm_spr;
+                        for c in planner.plan(&hw, mix, forecast, &mut cost).candidates {
+                            planner_h = c.label.bytes().map(u64::from).fold(planner_h, fnv);
+                            planner_h = fold_placement(planner_h, &c.placement);
+                            planner_h = [
+                                c.capacity_rps,
+                                c.latency_ms,
+                                c.slo_attainment,
+                                c.joules_per_request,
+                                c.goodput_rps,
+                                c.score,
+                            ]
+                            .into_iter()
+                            .map(f64::to_bits)
+                            .fold(planner_h, fnv);
+                        }
+                    }
+                }
+            }
+            let mut capacity_h = 0xcbf2_9ce4_8422_2325;
+            for placement in capacity_golden_placements() {
+                let config = ServeConfig::builder(hw).placement(placement).build();
+                let capacity = ServeSimulator::new(config).capacity_estimate_rps(mix);
+                capacity_h = fnv(fold_placement(capacity_h, &placement), capacity.to_bits());
+            }
+            cells.push((format!("{hw_name} {mix_name}"), planner_h, capacity_h));
+        }
+    }
+    let mut diverged = Vec::new();
+    for (i, (cell, planner_h, capacity_h)) in cells.iter().enumerate() {
+        for (half, h, (name, golden)) in [
+            ("planner", planner_h, PLANNER_GOLDENS[i]),
+            ("capacity", capacity_h, CAPACITY_GOLDENS[i]),
+        ] {
+            assert_eq!(cell, name, "cell order changed");
+            if *h != golden {
+                diverged.push(format!("{cell} {half}: {h:#x}, golden {golden:#x}"));
+            }
+        }
+    }
+    assert!(
+        diverged.is_empty(),
+        "planner or capacity projections diverged from their goldens:\n{}",
+        diverged.join("\n")
+    );
 }
 
 #[test]
