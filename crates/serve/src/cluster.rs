@@ -826,29 +826,30 @@ impl ServeSimulator {
             .or_insert_with(|| ModelConfig::for_kind(kind))
     }
 
-    /// The gang partition plan of `kind` under `placement`'s strategy,
+    /// The partition plan of `kind` under `strategy` over `interconnect`,
     /// built once per (model, strategy) per simulator (pipeline plans walk
     /// per-stage op lists; auto-placement can visit several strategies
     /// over one run). A cached plan is only reused when its interconnect
-    /// matches the requesting placement's — a planner-chosen placement may
-    /// carry a different fabric than the static config that first priced
-    /// the strategy, and collectives must be priced on the right one.
+    /// matches the requested one — a planner-chosen placement may carry a
+    /// different fabric than the static config that first priced the
+    /// strategy, and collectives must be priced on the right one.
     fn partition_plan(
         &mut self,
         kind: ModelKind,
-        placement: &Placement,
+        strategy: PartitionStrategy,
+        interconnect: Interconnect,
     ) -> exion_sim::partition::PartitionPlan {
-        let key = (kind, placement.strategy);
+        let key = (kind, strategy);
         if let Some(plan) = self.partition_plans.get(&key) {
-            if plan.interconnect() == placement.interconnect {
+            if plan.interconnect() == interconnect {
                 return plan.clone();
             }
         }
         let config = self.model_config(kind);
         let plan = exion_sim::partition::PartitionPlan::new(
             &config,
-            placement.strategy,
-            placement.interconnect,
+            strategy,
+            interconnect,
             self.config.hw.operand_bytes(),
         );
         self.partition_plans.insert(key, plan.clone());
@@ -861,11 +862,12 @@ impl ServeSimulator {
     fn sched_context(&mut self, kinds: &[ModelKind], placement: &Placement) -> SchedContext {
         let configs: HashMap<ModelKind, ModelConfig> =
             kinds.iter().map(|&k| (k, self.model_config(k))).collect();
-        let sharded = placement.gangs > 0 && placement.strategy != PartitionStrategy::Replicated;
+        let (strategy, link) = (placement.strategy, placement.interconnect);
+        let sharded = placement.gangs > 0 && strategy != PartitionStrategy::Replicated;
         let plans: HashMap<ModelKind, exion_sim::partition::PartitionPlan> = if sharded {
             kinds
                 .iter()
-                .map(|&k| (k, self.partition_plan(k, placement)))
+                .map(|&k| (k, self.partition_plan(k, strategy, link)))
                 .collect()
         } else {
             HashMap::new()
@@ -886,34 +888,32 @@ impl ServeSimulator {
     }
 
     /// Analytic saturation-throughput estimate (requests/s) for `mix`:
-    /// each unit's full-batch steady-state throughput (whole-model service
-    /// time for replicas, gang-combined shard time plus collectives for
-    /// sharded gangs), weighted by the mix's traffic shares and summed
-    /// across units. Arrival-rate sweeps anchor on this to place the
-    /// saturation knee without hand-tuning per hardware instance.
-    pub fn capacity_estimate_rps(&mut self, mix: &crate::trace::WorkloadMix) -> f64 {
+    /// per unit type of the placement (a replica is the one-member unit of
+    /// the `Replicated` plan), the warm full-batch generation of one unit
+    /// under the type's plan — collectives included, uncontended —
+    /// weighted by the mix's traffic shares and summed across units.
+    /// Arrival-rate sweeps anchor on this to place the saturation knee
+    /// without hand-tuning per hardware instance.
+    pub fn capacity_estimate_rps(&mut self, mix: &WorkloadMix) -> f64 {
         let batch = self.config.max_batch as u64;
         let placement = self.config.placement;
         let total_w: f64 = mix.entries.iter().map(|&(_, w, _)| w).sum();
-        // Weighted harmonic mean per unit type: a fraction w_k of requests
-        // each occupying 1/r_k of a unit-second gives 1 / Σ (w_k / r_k)
-        // requests/s per unit.
-        let mut replica_spr = 0.0;
-        let mut gang_spr = 0.0;
-        for &(kind, w, _) in &mix.entries {
-            let config = self.model_config(kind);
-            let share = w / total_w;
-            let gen_ms = self.cost.generation_latency_ms(&config, batch);
-            replica_spr += share / (batch as f64 / (gen_ms / 1000.0));
-            if placement.gangs > 0 {
-                let plan = self.partition_plan(kind, &placement);
-                let gang_ms = self.cost.gang_generation_latency_ms(&config, &plan, batch);
-                gang_spr += share / (batch as f64 / (gang_ms / 1000.0));
+        let mut capacity = 0.0;
+        for (strategy, units) in placement.unit_types() {
+            // Weighted harmonic mean per unit type: a fraction w_k of
+            // requests each occupying 1/r_k of a unit-second gives
+            // 1 / Σ (w_k / r_k) requests/s per unit.
+            let mut spr = 0.0;
+            for &(kind, w, _) in &mix.entries {
+                let config = self.model_config(kind);
+                let plan = self.partition_plan(kind, strategy, placement.interconnect);
+                let gen_ms = self
+                    .cost
+                    .generation_cost(&config, &plan, batch, 1.0)
+                    .latency_ms;
+                spr += w / total_w / (batch as f64 / (gen_ms / 1000.0));
             }
-        }
-        let mut capacity = placement.replicas as f64 / replica_spr;
-        if placement.gangs > 0 {
-            capacity += placement.gangs as f64 / gang_spr;
+            capacity += units as f64 / spr;
         }
         capacity
     }

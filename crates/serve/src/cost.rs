@@ -10,6 +10,14 @@
 //! the weight working set held by the GSC — quantized to 1/32nds for
 //! memoization — not a warm/cold flag; partially resident tenants price a
 //! partial refill.
+//!
+//! Whole generations are priced per unit, through the unit's
+//! [`PartitionPlan`]: [`CostModel::generation_cost`] sums the schedule of
+//! one unit whose members all sit at a given residency, with the
+//! uncontended collective of every step. A replica is the `Replicated`
+//! plan, so the placement planner and the capacity estimate price replicas
+//! and gangs with the same call. [`CostModel::generation_latency_ms`] is
+//! the warm whole-model generation that SLOs scale.
 
 use std::collections::HashMap;
 
@@ -214,75 +222,44 @@ impl CostModel {
         Ok(cost)
     }
 
-    /// Warm full-generation latency of one gang serving `model` under
-    /// `plan` at `batch` rows — the sharded analogue of
-    /// [`Self::generation_latency_ms`], anchoring capacity estimates for
-    /// sharded placements.
-    pub fn gang_generation_latency_ms(
-        &mut self,
-        model: &ModelConfig,
-        plan: &PartitionPlan,
-        batch: u64,
-    ) -> f64 {
-        self.gang_generation_cost_at_residency(model, plan, batch, 1.0, 1)
-            .latency_ms
-    }
-
     /// Warm full-generation latency of `model` at `batch` rows: the sum of
     /// per-iteration costs across the denoising schedule with weights
-    /// GSC-resident throughout.
+    /// GSC-resident throughout — the whole-model currency SLOs scale.
     pub fn generation_latency_ms(&mut self, model: &ModelConfig, batch: u64) -> f64 {
-        self.generation_cost_at_residency(model, batch, 1.0)
-            .latency_ms
+        self.generation_sum(model, None, batch, 1.0).latency_ms
     }
 
-    /// Full-generation cost (latency + energy summed over the denoising
-    /// schedule) of `model` at `batch` rows with `resident_frac` of the
-    /// weight working set GSC-resident every iteration — the steady-state
-    /// projection a placement planner prices a *replica* unit with (a
-    /// tenant bigger than the GSC never gets warmer than its partial
-    /// residency, so its real service time sits well above the warm one).
-    pub fn generation_cost_at_residency(
-        &mut self,
-        model: &ModelConfig,
-        batch: u64,
-        resident_frac: f64,
-    ) -> IterationCost {
-        self.generation_sum(model, None, batch, resident_frac, 0.0)
-    }
-
-    /// The sharded analogue of [`Self::generation_cost_at_residency`]: one
-    /// gang's full generation under `plan` with every member holding
-    /// `resident_frac` of its own shard, and the collective term priced
-    /// with `concurrent_gangs` gangs contending for the board fabric
-    /// ([`PartitionPlan::collective_ms_contended`]).
-    pub fn gang_generation_cost_at_residency(
+    /// Full-generation cost (latency, energy and dense ops summed over the
+    /// denoising schedule) of one unit serving `model` under `plan` at
+    /// `batch` rows, with every member holding `resident_frac` of its own
+    /// shard every iteration. Each step folds the shard costs through
+    /// [`PartitionPlan::combine`], so the collective term is the
+    /// uncontended one. A replica is the [`PartitionStrategy::Replicated`]
+    /// plan: one member, no collective, priced bit for bit like the whole
+    /// model.
+    pub fn generation_cost(
         &mut self,
         model: &ModelConfig,
         plan: &PartitionPlan,
         batch: u64,
         resident_frac: f64,
-        concurrent_gangs: usize,
     ) -> IterationCost {
-        let contention_extra =
-            plan.collective_ms_contended(batch, concurrent_gangs) - plan.collective_ms(batch);
-        self.generation_sum(model, Some(plan), batch, resident_frac, contention_extra)
+        self.generation_sum(model, Some(plan), batch, resident_frac)
     }
 
     /// The one schedule loop behind both generation sums: every denoising
     /// step priced at `resident_frac` — the whole model when `plan` is
-    /// `None`, else every shard folded by [`PartitionPlan::combine`] — plus
-    /// the fabric-contention surcharge `contention_ms` per step.
+    /// `None`, else every shard folded by [`PartitionPlan::combine`].
     fn generation_sum(
         &mut self,
         model: &ModelConfig,
         plan: Option<&PartitionPlan>,
         batch: u64,
         resident_frac: f64,
-        contention_ms: f64,
     ) -> IterationCost {
         const PRICEABLE: &str = "positive batch, in-range steps and installed profiles cannot fail";
-        let mut shards = Vec::with_capacity(plan.map_or(0, PartitionPlan::num_shards));
+        let members = plan.map_or(1, PartitionPlan::num_shards);
+        let mut shards = Vec::with_capacity(members);
         let mut total = IterationCost {
             latency_ms: 0.0,
             energy_mj: 0.0,
@@ -290,20 +267,13 @@ impl CostModel {
         };
         for step in 0..model.iterations {
             let phase = model.ffn_reuse.phase_of_step(step);
-            let cost = match plan {
-                None => self
-                    .price(model, None, 0, batch, phase, resident_frac)
-                    .expect(PRICEABLE),
-                Some(plan) => {
-                    shards.clear();
-                    for s in 0..plan.num_shards() {
-                        let c = self.price(model, Some(plan), s, batch, phase, resident_frac);
-                        shards.push(c.expect(PRICEABLE));
-                    }
-                    plan.combine(&shards, batch)
-                }
-            };
-            total.latency_ms += cost.latency_ms + contention_ms;
+            shards.clear();
+            for s in 0..members {
+                let c = self.price(model, plan, s, batch, phase, resident_frac);
+                shards.push(c.expect(PRICEABLE));
+            }
+            let cost = plan.map_or(shards[0], |p| p.combine(&shards, batch));
+            total.latency_ms += cost.latency_ms;
             total.energy_mj += cost.energy_mj;
             total.dense_ops += cost.dense_ops;
         }
@@ -394,6 +364,22 @@ mod tests {
                 entries += 1;
                 assert_eq!(cm.memo.len(), entries, "one entry serves both calls");
             }
+        }
+        // Summed over a whole generation, the Replicated plan's unit cost
+        // is the whole model's, warm and at a partial residency.
+        let bits = |c: IterationCost| [c.latency_ms, c.energy_mj, c.dense_ops].map(f64::to_bits);
+        for batch in [1, 8] {
+            for frac in [0.25, 1.0] {
+                let whole = cm.generation_sum(&model, None, batch, frac);
+                let unit = cm.generation_cost(&model, &plan, batch, frac);
+                assert_eq!(bits(whole), bits(unit), "batch {batch}, residency {frac}");
+            }
+            assert_eq!(
+                cm.generation_latency_ms(&model, batch).to_bits(),
+                cm.generation_cost(&model, &plan, batch, 1.0)
+                    .latency_ms
+                    .to_bits()
+            );
         }
     }
 

@@ -92,6 +92,19 @@ impl Placement {
         self.replicas + self.gangs
     }
 
+    /// Each unit type the placement deploys, with its unit count, replicas
+    /// first. A replica is the one-member unit of a
+    /// [`PartitionStrategy::Replicated`] plan; types with no units are
+    /// skipped.
+    pub(crate) fn unit_types(&self) -> impl Iterator<Item = (PartitionStrategy, usize)> {
+        [
+            (PartitionStrategy::Replicated, self.replicas),
+            (self.strategy, self.gangs),
+        ]
+        .into_iter()
+        .filter(|&(_, n)| n > 0)
+    }
+
     /// Hardware instances the placement occupies in total.
     pub fn total_instances(&self) -> usize {
         self.replicas + self.gangs * self.strategy.degree()

@@ -1,13 +1,9 @@
 //! The placement planner: workload-driven auto-placement of replicas vs
 //! TP/PP gangs.
 //!
-//! PR 3/4 built every *mechanism* a sharded serving cluster needs —
-//! partitioned cost model, shard-granular GSC residency, gangs, a pluggable
-//! policy/admission control plane — but nothing *chooses* a placement:
-//! every sweep hand-picks the replicas-vs-gangs split. This module is the
-//! missing control-plane tier between the cost model and the scheduler: an
-//! offline optimizer that turns (model mix, load forecast, hardware,
-//! instance budget) into a [`Placement`].
+//! The planner is the control-plane tier between the cost model and the
+//! scheduler: an offline optimizer that turns (model mix, load forecast,
+//! hardware, instance budget) into a [`Placement`].
 //!
 //! [`PlacementPlanner::plan`] enumerates every placement the budget admits
 //! — `r` whole-model replicas plus `g` gangs of each candidate
@@ -16,24 +12,27 @@
 //! the survivors against the forecast, and keeps the top
 //! [`PlannerConfig::beam_width`].
 //!
-//! The score is an analytic goodput projection built from the same
-//! currencies the cluster itself runs on:
+//! Every unit type is priced one way. A replica is the one-member unit of
+//! the [`PartitionStrategy::Replicated`] plan and a gang the unit of its
+//! strategy's plan, and each (strategy, model) pair gets one projection:
+//! the model's [`PartitionPlan`] and its uncontended full-batch and
+//! batch-1 generations ([`CostModel::generation_cost`]) at the members'
+//! steady-state residency ([`PartitionPlan::min_member_residency`]; for a
+//! replica that is the whole model's partial residency, since a tenant
+//! bigger than the GSC never gets warmer). A candidate adds one term of
+//! its own: its units of each type contend for the board fabric
+//! ([`PartitionPlan::collective_ms_contended`] — concurrent gangs on a
+//! ring share its links; a replica has no collective, so its surcharge is
+//! exactly zero). From the projections the score builds the same
+//! currencies the cluster runs on:
 //!
-//! * **steady-state service time** — a replica serving a tenant bigger
-//!   than its GSC never gets warmer than its partial residency, so its
-//!   generations are priced at
-//!   [`CostModel::generation_cost_at_residency`]; each gang member is
-//!   priced at *its shard's* steady-state residency
-//!   ([`PartitionPlan::min_member_residency`]) plus the topology-aware,
-//!   contention-adjusted collective term
-//!   ([`PartitionPlan::collective_ms_contended`] — concurrent gangs on a
-//!   ring fabric share its links);
-//! * **capacity** — the mix-weighted harmonic unit throughput at the full
-//!   batch, summed across units;
+//! * **capacity** — per unit type, the mix-weighted harmonic unit
+//!   throughput at the full batch times the type's unit count, summed
+//!   over the types;
 //! * **SLO attainment** — per-model projected latency (service at the
-//!   load-implied batch occupancy plus an M/M/c-flavored queueing term)
-//!   against the same SLOs the cluster scales from the warm replica
-//!   service time;
+//!   load-implied batch occupancy, routed across unit types by capacity
+//!   share, plus an M/M/c-flavored queueing term) against the same SLOs
+//!   the cluster scales from the warm replica service time;
 //! * **latency pressure** — a small tie-break penalty so that when two
 //!   placements both meet every SLO (light load), the one with the
 //!   shorter generations wins — exactly the regime where a TP gang's
@@ -47,7 +46,8 @@
 use exion_model::config::ModelConfig;
 use exion_sim::config::HwConfig;
 use exion_sim::partition::{Interconnect, PartitionPlan, PartitionStrategy};
-use exion_sim::residency::{latent_state_bytes, model_weight_bytes, partial_residency};
+use exion_sim::perf::IterationCost;
+use exion_sim::residency::latent_state_bytes;
 use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
@@ -185,30 +185,26 @@ pub fn gsc_feasible(hw: &HwConfig, mix: &WorkloadMix, strategy: PartitionStrateg
     })
 }
 
-/// Placement-invariant replica-side pricing of one mix model (computed
-/// once per plan, shared by every candidate).
-struct ReplicaProjection {
+/// One mix model's traffic share and SLO, shared by every unit type.
+struct Tenant {
     /// Normalized traffic share.
     share: f64,
     /// The model's SLO in absolute terms (the cluster's SLO currency).
     slo_ms: f64,
     /// DDIM steps per generation (scales per-iteration contention terms).
     iterations: f64,
-    /// (latency ms, energy mJ) of one steady-state full-batch generation.
-    full: (f64, f64),
-    /// Steady-state batch-1 generation latency (light-load tail).
-    b1_ms: f64,
 }
 
-/// Per-strategy gang-side pricing of one mix model: the partition plan and
-/// the *uncontended* generation costs (candidates add their own
-/// concurrent-gang contention term).
-struct GangProjection {
-    /// The model's cut under the strategy.
+/// Placement-invariant pricing of one mix model on one unit type: the
+/// model's cut under the unit's strategy and its *uncontended* generation
+/// costs at the members' steady-state residency (candidates add their own
+/// fabric contention in [`PlacementPlanner::score`]).
+struct Projection {
+    /// The model's cut (a replica's is the `Replicated` plan).
     plan: PartitionPlan,
-    /// (latency ms, energy mJ) of one full-batch gang generation.
-    full: (f64, f64),
-    /// Batch-1 gang generation latency.
+    /// One full-batch generation.
+    full: IterationCost,
+    /// Batch-1 generation latency (light-load tail).
     b1_ms: f64,
 }
 
@@ -283,35 +279,35 @@ impl PlacementPlanner {
         cost: &mut CostModel,
     ) -> PlanOutcome {
         let placements = self.enumerate(hw, mix);
+        let batch = self.config.max_batch.max(1) as u64;
+        let total_w: f64 = mix.entries.iter().map(|&(_, w, _)| w).sum();
+        let tenants: Vec<Tenant> = mix
+            .entries
+            .iter()
+            .map(|&(kind, w, slo_mult)| {
+                let model = ModelConfig::for_kind(kind);
+                Tenant {
+                    share: w / total_w.max(1e-12),
+                    // The cluster's SLO currency: the warm replica service
+                    // time.
+                    slo_ms: slo_mult * cost.generation_latency_ms(&model, batch),
+                    iterations: model.iterations as f64,
+                }
+            })
+            .collect();
         // Placement-invariant pricing is hoisted out of the candidate
-        // loop: the replica-side projections are identical for every
-        // candidate, and the gang-side base costs depend only on the
-        // strategy (the per-candidate concurrent-gang contention term is
-        // applied on top, cheaply, in `score`).
-        let replicas = self.replica_projections(hw, mix, cost);
-        let strategies: Vec<PartitionStrategy> = {
-            let mut out = Vec::new();
-            for p in &placements {
-                if p.gangs > 0 && !out.contains(&p.strategy) {
-                    out.push(p.strategy);
+        // loop: one projection per unit type any candidate deploys.
+        let mut projections: Vec<(PartitionStrategy, Vec<Projection>)> = Vec::new();
+        for p in &placements {
+            for (strategy, _) in p.unit_types() {
+                if projections.iter().all(|(s, _)| *s != strategy) {
+                    projections.push((strategy, self.projections(hw, mix, strategy, cost)));
                 }
             }
-            out
-        };
-        let gangs_by_strategy: Vec<(PartitionStrategy, Vec<GangProjection>)> = strategies
-            .into_iter()
-            .map(|s| (s, self.gang_projections(hw, mix, s, cost)))
-            .collect();
+        }
         let mut candidates: Vec<CandidateScore> = placements
             .into_iter()
-            .map(|p| {
-                let gang_projs = gangs_by_strategy
-                    .iter()
-                    .find(|(s, _)| *s == p.strategy)
-                    .map(|(_, g)| g.as_slice())
-                    .unwrap_or(&[]);
-                self.score(p, forecast_rps, &replicas, gang_projs)
-            })
+            .map(|p| self.score(p, forecast_rps, &tenants, &projections))
             .collect();
         // Deterministic total order: score, then capacity, then the label
         // (so equal-scoring candidates rank identically on every platform).
@@ -328,66 +324,32 @@ impl PlacementPlanner {
         }
     }
 
-    /// The placement-invariant replica-side projections of every mix
-    /// model: traffic share, the SLO currency, and the steady-state
-    /// (residency-adjusted) generation costs — computed once per plan.
-    fn replica_projections(
-        &self,
-        hw: &HwConfig,
-        mix: &WorkloadMix,
-        cost: &mut CostModel,
-    ) -> Vec<ReplicaProjection> {
-        let batch = self.config.max_batch.max(1) as u64;
-        let gsc = hw.gsc_bytes();
-        let operand = hw.operand_bytes();
-        let total_w: f64 = mix.entries.iter().map(|&(_, w, _)| w).sum();
-        mix.entries
-            .iter()
-            .map(|&(kind, w, slo_mult)| {
-                let model = ModelConfig::for_kind(kind);
-                // The cluster's SLO currency: the warm replica service time.
-                let slo_ms = slo_mult * cost.generation_latency_ms(&model, batch);
-                let frac = partial_residency(gsc, model_weight_bytes(&model, operand) as f64);
-                let full = cost.generation_cost_at_residency(&model, batch, frac);
-                let b1 = cost.generation_cost_at_residency(&model, 1, frac);
-                ReplicaProjection {
-                    share: w / total_w.max(1e-12),
-                    slo_ms,
-                    iterations: model.iterations as f64,
-                    full: (full.latency_ms, full.energy_mj),
-                    b1_ms: b1.latency_ms,
-                }
-            })
-            .collect()
-    }
-
-    /// The per-strategy gang-side projections of every mix model: the
-    /// partition plan and the uncontended generation costs at each
-    /// member's steady-state shard residency — computed once per
-    /// (strategy, plan); candidates layer their own concurrent-gang
-    /// contention on top in [`Self::score`].
-    fn gang_projections(
+    /// The projections of every mix model on a unit of `strategy`: the
+    /// model's cut and its uncontended full-batch and batch-1 generation
+    /// costs with every member at its steady-state residency — computed
+    /// once per (strategy, plan call).
+    fn projections(
         &self,
         hw: &HwConfig,
         mix: &WorkloadMix,
         strategy: PartitionStrategy,
         cost: &mut CostModel,
-    ) -> Vec<GangProjection> {
+    ) -> Vec<Projection> {
         let batch = self.config.max_batch.max(1) as u64;
-        let gsc = hw.gsc_bytes();
-        let operand = hw.operand_bytes();
         mix.entries
             .iter()
             .map(|&(kind, _, _)| {
                 let model = ModelConfig::for_kind(kind);
-                let plan = PartitionPlan::new(&model, strategy, self.config.interconnect, operand);
-                let member_frac = plan.min_member_residency(gsc);
-                let full =
-                    cost.gang_generation_cost_at_residency(&model, &plan, batch, member_frac, 1);
-                let b1 = cost.gang_generation_cost_at_residency(&model, &plan, 1, member_frac, 1);
-                GangProjection {
-                    full: (full.latency_ms, full.energy_mj),
-                    b1_ms: b1.latency_ms,
+                let plan = PartitionPlan::new(
+                    &model,
+                    strategy,
+                    self.config.interconnect,
+                    hw.operand_bytes(),
+                );
+                let frac = plan.min_member_residency(hw.gsc_bytes());
+                Projection {
+                    full: cost.generation_cost(&model, &plan, batch, frac),
+                    b1_ms: cost.generation_cost(&model, &plan, 1, frac).latency_ms,
                     plan,
                 }
             })
@@ -395,45 +357,47 @@ impl PlacementPlanner {
     }
 
     /// Scores one candidate placement against the forecast, using the
-    /// hoisted projections (`gang_projs` is empty for replica-only
-    /// candidates, and parallel to `replicas` otherwise).
+    /// hoisted per-tenant data and unit-type projections.
     fn score(
         &self,
         placement: Placement,
         forecast_rps: f64,
-        replicas: &[ReplicaProjection],
-        gang_projs: &[GangProjection],
+        tenants: &[Tenant],
+        projections: &[(PartitionStrategy, Vec<Projection>)],
     ) -> CandidateScore {
         let batch = self.config.max_batch.max(1) as u64;
-        let gangs = placement.gangs;
-        // The only placement-dependent term of the gang generation costs:
-        // concurrent gangs contending for the board fabric, paid once per
-        // iteration.
-        let gang_latency = |r: &ReplicaProjection, g: &GangProjection, base_ms: f64, b: u64| {
+        // The only placement-dependent term of a generation: the `n` units
+        // of one type contending for the board fabric, paid once per
+        // iteration (exactly zero for a replica).
+        let contended = |t: &Tenant, p: &Projection, n: usize, base_ms: f64, b: u64| {
             base_ms
-                + r.iterations
-                    * (g.plan.collective_ms_contended(b, gangs) - g.plan.collective_ms(b))
+                + t.iterations * (p.plan.collective_ms_contended(b, n) - p.plan.collective_ms(b))
         };
-
-        // Mix-weighted unit seconds-per-request at the full batch, per
-        // unit type (weighted harmonic mean, as in the cluster's capacity
-        // estimate — but residency-adjusted).
-        let replica_spr: f64 = replicas
-            .iter()
-            .map(|p| p.share * p.full.0 / 1000.0 / batch as f64)
-            .sum();
-        let gang_spr: f64 = replicas
-            .iter()
-            .zip(gang_projs)
-            .map(|(r, g)| r.share * gang_latency(r, g, g.full.0, batch) / 1000.0 / batch as f64)
-            .sum();
-        let replica_cap = placement.replicas as f64 / replica_spr.max(1e-12);
-        let gang_cap = if gangs > 0 {
-            gangs as f64 / gang_spr.max(1e-12)
-        } else {
-            0.0
-        };
-        let capacity = replica_cap + gang_cap;
+        // Per unit type: its projections, its unit count, and its
+        // capacity — the count over the mix-weighted unit seconds per
+        // request at the full batch (a weighted harmonic mean, as in the
+        // cluster's capacity estimate, but residency-adjusted).
+        let types: Vec<(&[Projection], usize, f64)> = placement
+            .unit_types()
+            .map(|(strategy, n)| {
+                let projs = projections
+                    .iter()
+                    .find(|(s, _)| *s == strategy)
+                    .map(|(_, p)| p.as_slice())
+                    .expect("every deployed unit type is projected");
+                let spr: f64 = tenants
+                    .iter()
+                    .zip(projs)
+                    .map(|(t, p)| {
+                        t.share * contended(t, p, n, p.full.latency_ms, batch)
+                            / 1000.0
+                            / batch as f64
+                    })
+                    .sum();
+                (projs, n, n as f64 / spr.max(1e-12))
+            })
+            .collect();
+        let capacity: f64 = types.iter().map(|&(_, _, cap)| cap).sum();
         let units = placement.units().max(1) as f64;
         let rho = forecast_rps / capacity.max(1e-12);
         let served = forecast_rps.min(capacity);
@@ -441,30 +405,25 @@ impl PlacementPlanner {
         let occupancy = ((rho * batch as f64).ceil() as u64).clamp(1, batch);
         let occ_frac = (occupancy as f64 / batch as f64).clamp(0.0, 1.0);
 
-        // Capacity shares route traffic between unit types (the shared
-        // queue feeds whichever unit frees up first).
-        let replica_weight = replica_cap / capacity.max(1e-12);
-        let gang_weight = gang_cap / capacity.max(1e-12);
-
         let mut latency_ms = 0.0;
         let mut attainment = 0.0;
         let mut pressure = 0.0;
         let mut energy_mj_per_req = 0.0;
-        for (i, r) in replicas.iter().enumerate() {
-            // Service latency at the load-implied occupancy, interpolated
-            // between the batch-1 and full-batch generations per unit type.
-            let svc_of = |b1: f64, full: f64| b1 + (full - b1) * occ_frac;
-            let (gang_svc, gang_energy) = match gang_projs.get(i) {
-                Some(g) if gangs > 0 => (
-                    svc_of(
-                        gang_latency(r, g, g.b1_ms, 1),
-                        gang_latency(r, g, g.full.0, batch),
-                    ),
-                    g.full.1,
-                ),
-                _ => (0.0, 0.0),
-            };
-            let svc = replica_weight * svc_of(r.b1_ms, r.full.0) + gang_weight * gang_svc;
+        for (i, t) in tenants.iter().enumerate() {
+            // Capacity shares route traffic between unit types (the shared
+            // queue feeds whichever unit frees up first); each type serves
+            // at the load-implied occupancy, interpolated between its
+            // batch-1 and full-batch generations.
+            let mut svc = 0.0;
+            let mut energy_mj = 0.0;
+            for &(projs, n, cap) in &types {
+                let p = &projs[i];
+                let weight = cap / capacity.max(1e-12);
+                let b1 = contended(t, p, n, p.b1_ms, 1);
+                let full = contended(t, p, n, p.full.latency_ms, batch);
+                svc += weight * (b1 + (full - b1) * occ_frac);
+                energy_mj += weight * p.full.energy_mj;
+            }
             // M/M/c-flavored wait, capped at the overload blow-up so the
             // projection stays monotone through the capacity wall (an
             // uncapped 1/(1−ρ) would price 98% load *worse* than 120%).
@@ -474,11 +433,10 @@ impl PlacementPlanner {
                 svc * OVERLOAD_LATENCY_FACTOR
             };
             let latency = svc + wait;
-            latency_ms += r.share * latency;
-            attainment += r.share * (r.slo_ms / latency.max(1e-9)).min(1.0);
-            pressure += r.share * (latency / r.slo_ms.max(1e-9)).min(1.0);
-            energy_mj_per_req +=
-                r.share * (replica_weight * r.full.1 + gang_weight * gang_energy) / batch as f64;
+            latency_ms += t.share * latency;
+            attainment += t.share * (t.slo_ms / latency.max(1e-9)).min(1.0);
+            pressure += t.share * (latency / t.slo_ms.max(1e-9)).min(1.0);
+            energy_mj_per_req += t.share * energy_mj / batch as f64;
         }
         let goodput = served * attainment;
         CandidateScore {

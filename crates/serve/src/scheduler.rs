@@ -121,8 +121,8 @@ impl SchedContext {
                 // replica step, so a mixed cluster takes the minimum.
                 let mut warm_step_ms = cost.generation_latency_ms(&config, 1) / iters;
                 if let Some(plan) = &partition {
-                    warm_step_ms =
-                        warm_step_ms.min(cost.gang_generation_latency_ms(&config, plan, 1) / iters);
+                    let gang_ms = cost.generation_cost(&config, plan, 1, 1.0).latency_ms;
+                    warm_step_ms = warm_step_ms.min(gang_ms / iters);
                 }
                 let batched_step_ms =
                     cost.generation_latency_ms(&config, max_batch.max(1) as u64) / iters;

@@ -187,13 +187,13 @@ impl PartitionPlan {
         let shard_bytes: Vec<u64> = match strategy {
             // Column/row splits slice every weight matrix proportionally;
             // the cumulative integer split partitions the byte total
-            // exactly.
-            PartitionStrategy::Tensor { .. } => (0..n as u64)
+            // exactly (a replica's one shard is the whole total).
+            PartitionStrategy::Replicated | PartitionStrategy::Tensor { .. } => (0..n as u64)
                 .map(|r| total_bytes * (r + 1) / n as u64 - total_bytes * r / n as u64)
                 .collect(),
             // Stages own disjoint op subsets of the full plan, so summing
             // their dense per-op weight bytes partitions the total exactly.
-            _ => specs
+            PartitionStrategy::Pipeline { .. } => specs
                 .iter()
                 .map(|spec| spec_weight_bytes(model, spec, bytes_per_operand))
                 .collect(),
