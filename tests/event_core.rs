@@ -9,10 +9,11 @@
 use exion::serve::policy::BUILTIN_POLICY_NAMES;
 use exion::serve::{
     FaultPlan, MemorySink, PartitionStrategy, Placement, PlacementPlanner, PlannerConfig,
-    ServeConfig, ServeReport, ServeSimulator, SliceKind, TraceConfig, TrafficPattern, WorkloadMix,
+    RunProfile, ServeConfig, ServeReport, ServeSimulator, SliceKind, TraceConfig, TrafficPattern,
+    WorkloadMix,
 };
 use exion::sim::config::HwConfig;
-use exion_bench::experiments::serve_sweep::standard_scenarios;
+use exion_bench::experiments::serve_sweep::{bursty_trace_over, standard_scenarios, SWEEP_SEED};
 use proptest::prelude::*;
 
 /// FNV-style fold over the deterministic completion stream — the same
@@ -36,6 +37,33 @@ fn fingerprint(report: &ServeReport) -> u64 {
     h
 }
 
+/// FNV-style fold over what a run did rather than what it served: the
+/// bits of every phase share of the attribution mix, then the
+/// deterministic [`RunProfile`] counts (completions, iterations, calendar
+/// events, peak calendar size, planner passes) and the makespan bits.
+fn work_fingerprint(report: &ServeReport, profile: &RunProfile) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    let phase_mix = report
+        .attribution
+        .as_ref()
+        .expect("attribution is on by default")
+        .phase_mix();
+    for share in phase_mix {
+        mix(share.to_bits());
+    }
+    mix(profile.completed as u64);
+    mix(profile.iterations);
+    mix(profile.events_executed);
+    mix(profile.peak_calendar_events as u64);
+    mix(profile.planner_calls);
+    mix(profile.makespan_ms.to_bits());
+    h
+}
+
 /// The horizon the goldens below were captured at.
 const GOLDEN_HORIZON_MS: f64 = 1_200.0;
 
@@ -50,6 +78,18 @@ const GOLDEN_FINGERPRINTS: [(&str, u64); 4] = [
     ("planned_diurnal_exion4", 0x7494_0884_e39d_a282),
 ];
 
+/// [`work_fingerprint`] of the four standard scenarios, captured before
+/// the single-shot perf trajectory that used to gate their phase mix was
+/// deleted. Unlike a growth bound, the pin is exact: any change in where
+/// the requests spend their time, or in the work the calendar does to
+/// serve them, moves it.
+const GOLDEN_WORK_FINGERPRINTS: [(&str, u64); 4] = [
+    ("poisson_90pct_exion4", 0x4928_10c9_f39a_39f8),
+    ("bursty_preemptive_edf_exion24", 0x5493_2a0c_2561_0b8a),
+    ("tp2_gang_video_exion4", 0xae2b_94d2_6ccd_3984),
+    ("planned_diurnal_exion4", 0x8ba2_91ff_efad_e97f),
+];
+
 #[test]
 fn standard_scenario_fingerprints_survive_the_event_core() {
     for (scenario, config, trace) in standard_scenarios(GOLDEN_HORIZON_MS) {
@@ -58,7 +98,21 @@ fn standard_scenario_fingerprints_survive_the_event_core() {
             .find(|(name, _)| *name == scenario)
             .map(|&(_, fp)| fp)
             .expect("every standard scenario carries a golden");
-        let untraced = ServeSimulator::new(config.clone()).run(&trace);
+        let golden_work = GOLDEN_WORK_FINGERPRINTS
+            .iter()
+            .find(|(name, _)| *name == scenario)
+            .map(|&(_, fp)| fp)
+            .expect("every standard scenario carries a work golden");
+        let mut sim = ServeSimulator::new(config.clone());
+        let untraced = sim.run(&trace);
+        let profile = sim.last_run_profile().expect("run leaves a profile");
+        let work = work_fingerprint(&untraced, profile);
+        assert_eq!(
+            work,
+            golden_work,
+            "{scenario}: work fingerprint {work:#018x} diverged (phase mix {:?}, {profile:?})",
+            untraced.attribution.as_ref().map(|a| a.phase_mix()),
+        );
         let mut sink = MemorySink::new();
         let traced = ServeSimulator::new(config.clone()).run_traced(&trace, &mut sink);
         assert!(!sink.is_empty(), "{scenario}: traced run must emit");
@@ -201,6 +255,78 @@ fn metric_snapshots_land_on_exact_cadence_multiples() {
         );
         assert_eq!(snap.at_ms, (i as f64 + 1.0) * interval, "gap in cadence");
     }
+}
+
+/// Arrivals stream lazily and the calendar skips idle units, so a fleet
+/// run's heap is bounded by its units: on six replicas beside two TP=2
+/// gangs it holds one live entry per unit, the recurring events and
+/// transiently stale reschedule leftovers — never anything that scales
+/// with the trace.
+#[test]
+fn fleet_scale_run_streams_a_bounded_heap() {
+    let mix = WorkloadMix::multi_tenant();
+    let tp2 = PartitionStrategy::Tensor { ways: 2 };
+    let config = ServeConfig::builder(HwConfig::exion4())
+        .placement(Placement::mixed(6, 2, tp2))
+        .build();
+    let rate_rps = 0.8 * ServeSimulator::new(config.clone()).capacity_estimate_rps(&mix);
+    // 10% headroom over the expectation so Poisson variance cannot leave
+    // the run short of 400 arrivals.
+    let trace = TraceConfig {
+        pattern: TrafficPattern::Poisson { rate_rps },
+        horizon_ms: 1_100.0 * 400.0 / rate_rps,
+        seed: SWEEP_SEED,
+        mix,
+    };
+    let mut sim = ServeSimulator::new(config);
+    let report = sim.run(&trace);
+    let profile = sim.last_run_profile().expect("run leaves a profile");
+    assert!(report.arrivals >= 400, "{} arrivals", report.arrivals);
+    assert_eq!(profile.completed, report.arrivals);
+    assert!(profile.events_executed >= profile.iterations);
+    assert!(profile.peak_calendar_events <= 64, "{profile:?}");
+}
+
+/// [`work_fingerprint`] of the deep-backlog run below, captured before
+/// the single-shot perf trajectory that metered the same scenario was
+/// deleted.
+const GOLDEN_DEEP_BACKLOG_WORK: u64 = 0x2f17_7db4_0888_fd2a;
+
+/// Bursty traffic at twice one instance's capacity under EDF and
+/// admit-all: roughly half the trace is still queued at the horizon, and
+/// the post-horizon drain still completes every request.
+#[test]
+fn deep_backlog_run_builds_and_drains_the_backlog() {
+    let mix = WorkloadMix::multi_tenant();
+    let config = ServeConfig::builder(HwConfig::exion4())
+        .policy_name("edf")
+        .build();
+    let capacity = ServeSimulator::new(config.clone()).capacity_estimate_rps(&mix);
+    // 10% headroom over the expectation so burst-phase variance cannot
+    // leave the run short of 1 500 arrivals.
+    let horizon_ms = 1_100.0 * 1_500.0 / (2.0 * capacity);
+    let mut sim = ServeSimulator::new(config);
+    let report = sim.run(&bursty_trace_over(capacity, 2.0, horizon_ms, mix));
+    let profile = sim.last_run_profile().expect("run leaves a profile");
+    assert!(report.arrivals >= 1_500, "{} arrivals", report.arrivals);
+    assert_eq!(profile.completed, report.arrivals, "admit-all sheds");
+    // The drain tail stretches the makespan well past the horizon:
+    // evidence the run went through a deep backlog rather than keeping up
+    // with arrivals.
+    assert!(
+        profile.makespan_ms > 1.3 * horizon_ms,
+        "makespan {} vs horizon {}",
+        profile.makespan_ms,
+        horizon_ms
+    );
+    assert!(profile.iterations > 0);
+    let work = work_fingerprint(&report, profile);
+    assert_eq!(
+        work,
+        GOLDEN_DEEP_BACKLOG_WORK,
+        "work fingerprint {work:#018x} diverged (phase mix {:?}, {profile:?})",
+        report.attribution.as_ref().map(|a| a.phase_mix()),
+    );
 }
 
 proptest! {
