@@ -115,6 +115,12 @@ pub enum ConfigError {
         /// The declared period (denoising steps).
         every_steps: usize,
     },
+    /// A [`TraceConfig`] field is NaN, infinite or out of range (see
+    /// [`TraceConfig::validate`] for the rules).
+    InvalidTrace {
+        /// The offending field.
+        field: &'static str,
+    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -150,6 +156,9 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "checkpoint period must be at least one step, got {every_steps}"
             ),
+            ConfigError::InvalidTrace { field } => {
+                write!(f, "trace {field} is NaN, infinite, empty or out of range")
+            }
         }
     }
 }
@@ -928,6 +937,11 @@ impl ServeSimulator {
     /// scale the *replica* full-batch service time regardless of
     /// placement, so goodput is comparable across replicated and sharded
     /// deployments of the same trace.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::run_traced`]: on a trace that fails
+    /// [`TraceConfig::validate`].
     pub fn run(&mut self, trace: &TraceConfig) -> ServeReport {
         self.run_traced(trace, &mut NullSink)
     }
@@ -939,7 +953,15 @@ impl ServeSimulator {
     /// every completion in it) is byte-identical to an untraced run; the
     /// telemetry tests pin that property. With the default [`NullSink`]
     /// every emission site reduces to one branch.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`] message, before any arrival is
+    /// drawn, when `trace` fails [`TraceConfig::validate`].
     pub fn run_traced(&mut self, trace: &TraceConfig, sink: &mut dyn Sink) -> ServeReport {
+        if let Err(e) = trace.validate() {
+            panic!("invalid serving trace: {e}");
+        }
         ClusterRun::new(self, trace, sink).run()
     }
 }
@@ -2420,6 +2442,18 @@ mod tests {
         ] {
             assert!(!err.to_string().is_empty());
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid serving trace: trace horizon_ms is NaN")]
+    fn run_panics_on_a_nan_horizon_before_drawing_arrivals() {
+        let mut sim = ServeSimulator::new(ServeConfig::new(HwConfig::exion4()));
+        let _ = sim.run(&TraceConfig {
+            pattern: crate::trace::TrafficPattern::Poisson { rate_rps: 10.0 },
+            horizon_ms: f64::NAN,
+            seed: 1,
+            mix: WorkloadMix::text_to_motion(),
+        });
     }
 
     #[test]

@@ -12,6 +12,8 @@ use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::cluster::ConfigError;
+
 /// The arrival-process shapes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum TrafficPattern {
@@ -225,6 +227,60 @@ pub struct TraceConfig {
     pub mix: WorkloadMix,
 }
 
+impl TraceConfig {
+    /// Checks that the trace can be drawn: the horizon, every rate and the
+    /// burst multiplier finite and `>= 0`, the mean dwell finite and
+    /// `> 0`, `trough_frac` in `[0, 1]`, and the mix non-empty with finite
+    /// weights `>= 0` of positive sum and finite SLO multipliers `> 0`.
+    /// Otherwise a NaN or infinite horizon yields arrivals without end, a
+    /// negative or NaN rate silently yields none, and an empty mix panics
+    /// at the first draw. [`crate::ServeSimulator::run`] checks this before
+    /// it draws any arrival.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let non_negative = |v: f64| v.is_finite() && v >= 0.0;
+        let positive = |v: f64| v.is_finite() && v > 0.0;
+        let entries = &self.mix.entries;
+        let weights = || entries.iter().map(|&(_, w, _)| w);
+        let mut rules = vec![("horizon_ms", non_negative(self.horizon_ms))];
+        match self.pattern {
+            TrafficPattern::Poisson { rate_rps } => {
+                rules.push(("rate_rps", non_negative(rate_rps)))
+            }
+            TrafficPattern::Bursty {
+                rate_rps,
+                burst_multiplier,
+                mean_dwell_ms,
+            } => rules.extend([
+                ("rate_rps", non_negative(rate_rps)),
+                ("burst_multiplier", non_negative(burst_multiplier)),
+                ("mean_dwell_ms", positive(mean_dwell_ms)),
+            ]),
+            TrafficPattern::Diurnal {
+                peak_rps,
+                trough_frac,
+            } => rules.extend([
+                ("peak_rps", non_negative(peak_rps)),
+                ("trough_frac", (0.0..=1.0).contains(&trough_frac)),
+            ]),
+        }
+        rules.extend([
+            ("mix", !entries.is_empty()),
+            (
+                "mix weight",
+                weights().all(non_negative) && weights().sum::<f64>() > 0.0,
+            ),
+            (
+                "mix SLO multiplier",
+                entries.iter().all(|&(_, _, m)| positive(m)),
+            ),
+        ]);
+        match rules.into_iter().find(|&(_, ok)| !ok) {
+            Some((field, _)) => Err(ConfigError::InvalidTrace { field }),
+            None => Ok(()),
+        }
+    }
+}
+
 /// One arrival event.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Arrival {
@@ -418,6 +474,62 @@ mod tests {
             horizon_ms: 5_000.0,
             seed,
             mix: WorkloadMix::text_to_motion(),
+        }
+    }
+
+    #[test]
+    fn validate_rejects_each_invalid_field() {
+        let trace = |pattern, horizon_ms, entries| TraceConfig {
+            pattern,
+            horizon_ms,
+            seed: 1,
+            mix: WorkloadMix { entries },
+        };
+        let poisson = |rate_rps| TrafficPattern::Poisson { rate_rps };
+        let bursty = |burst_multiplier, mean_dwell_ms| TrafficPattern::Bursty {
+            rate_rps: 10.0,
+            burst_multiplier,
+            mean_dwell_ms,
+        };
+        let diurnal = |peak_rps, trough_frac| TrafficPattern::Diurnal {
+            peak_rps,
+            trough_frac,
+        };
+        let mix = WorkloadMix::text_to_motion().entries;
+        let mld = |weight, slo| vec![(ModelKind::Mld, weight, slo)];
+        for valid in [poisson(0.0), bursty(4.0, 100.0), diurnal(10.0, 1.0)] {
+            assert_eq!(trace(valid, 0.0, mix.clone()).validate(), Ok(()));
+        }
+        for (field, bad) in [
+            ("horizon_ms", trace(poisson(1.0), f64::NAN, mix.clone())),
+            (
+                "horizon_ms",
+                trace(poisson(1.0), f64::INFINITY, mix.clone()),
+            ),
+            ("horizon_ms", trace(poisson(1.0), -1.0, mix.clone())),
+            ("rate_rps", trace(poisson(-1.0), 1e3, mix.clone())),
+            ("rate_rps", trace(poisson(f64::NAN), 1e3, mix.clone())),
+            ("rate_rps", trace(poisson(f64::INFINITY), 1e3, mix.clone())),
+            (
+                "burst_multiplier",
+                trace(bursty(f64::NAN, 1.0), 1e3, mix.clone()),
+            ),
+            ("mean_dwell_ms", trace(bursty(4.0, 0.0), 1e3, mix.clone())),
+            ("peak_rps", trace(diurnal(-5.0, 0.3), 1e3, mix.clone())),
+            ("trough_frac", trace(diurnal(10.0, 1.5), 1e3, mix.clone())),
+            ("mix", trace(poisson(1.0), 1e3, Vec::new())),
+            ("mix weight", trace(poisson(1.0), 1e3, mld(-1.0, 4.0))),
+            ("mix weight", trace(poisson(1.0), 1e3, mld(0.0, 4.0))),
+            (
+                "mix SLO multiplier",
+                trace(poisson(1.0), 1e3, mld(1.0, 0.0)),
+            ),
+        ] {
+            assert_eq!(
+                bad.validate(),
+                Err(ConfigError::InvalidTrace { field }),
+                "{bad:?}"
+            );
         }
     }
 
