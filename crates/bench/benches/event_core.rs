@@ -41,8 +41,9 @@ fn bench_calendar_churn(c: &mut Criterion) {
 }
 
 /// The full boundary-execution hot path: a short multi-tenant run over a
-/// mixed replica/gang fleet, arrivals streamed lazily — what one
-/// `BENCH_serve.json` fleet point does per unit of horizon.
+/// mixed replica/gang fleet, arrivals streamed lazily — a miniature of
+/// perfbench's `serve_fleet` workload (102 units), which measures the same
+/// loop end to end.
 fn bench_cluster_loop(c: &mut Criterion) {
     let mut group = c.benchmark_group("cluster_loop");
     group.sample_size(10);

@@ -32,11 +32,9 @@
 //!   closed form.
 
 use exion_model::config::{ModelConfig, ModelKind};
-use exion_serve::telemetry::json::{push_f64, push_str};
 use exion_serve::{
     admission, policy, FaultPlan, MissCause, Phase, Placement, PlacementPlanner, PlannerConfig,
-    RunProfile, ServeConfig, ServeReport, ServeSimulator, TraceConfig, TrafficPattern, WorkloadMix,
-    PHASES,
+    ServeConfig, ServeReport, ServeSimulator, TraceConfig, TrafficPattern, WorkloadMix, PHASES,
 };
 use exion_sim::config::HwConfig;
 use exion_sim::partition::PartitionStrategy;
@@ -46,64 +44,6 @@ use crate::profiles::measure_profile;
 
 /// The seed every serving experiment here runs under.
 pub const SWEEP_SEED: u64 = 0x5E17E;
-
-/// Worker count of the scenario-parallel driver: `EXION_SWEEP_THREADS`
-/// (default 1 = serial). Each scenario run is an independent simulation,
-/// so the only cross-thread state is the claim counter — exports stay
-/// byte-identical at any thread count.
-pub fn sweep_threads() -> usize {
-    std::env::var("EXION_SWEEP_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or(1)
-}
-
-/// Runs `jobs` across up to `threads` scoped workers and returns results
-/// in job order. Workers claim jobs off an atomic counter and write each
-/// result into its job's slot, so scheduling interleave cannot reorder
-/// (or drop) anything: the output is indexed, not arrival-ordered.
-pub fn run_jobs_indexed<T, F>(threads: usize, jobs: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
-
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.into_iter().map(|job| job()).collect();
-    }
-    let n = jobs.len();
-    let cells: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for _ in 0..threads.min(n) {
-            s.spawn(|| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let job = cells[i]
-                    .lock()
-                    .expect("job cell")
-                    .take()
-                    .expect("each job is claimed exactly once");
-                let result = job();
-                *slots[i].lock().expect("result slot") = Some(result);
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|m| {
-            m.into_inner()
-                .expect("result slot")
-                .expect("scope joins every worker, so every slot is filled")
-        })
-        .collect()
-}
 
 /// One sweep point.
 #[derive(Debug, Clone, PartialEq)]
@@ -149,38 +89,32 @@ pub const LOAD_FRACTIONS: [f64; 6] = [0.2, 0.4, 0.6, 0.8, 1.0, 1.3];
 pub fn compute(horizon_cap_ms: Option<f64>) -> Vec<Sweep> {
     let horizon_ms = horizon_cap_ms.unwrap_or(4_000.0).max(100.0);
     let mix = WorkloadMix::multi_tenant();
-    // One job per (hardware, pattern) pairing; each job re-derives the
-    // (deterministic) capacity estimate so jobs share nothing and the
-    // parallel driver cannot perturb the results.
-    let mut jobs = Vec::new();
+    let mut sweeps = Vec::new();
     for hw in [HwConfig::exion4(), HwConfig::exion24()] {
         for pattern in TrafficPattern::standard_suite() {
-            let mix = mix.clone();
-            jobs.push(move || {
-                let mut sim = ServeSimulator::new(ServeConfig::new(hw));
-                let capacity = sim.capacity_estimate_rps(&mix);
-                let points = LOAD_FRACTIONS
-                    .iter()
-                    .map(|&frac| SweepPoint {
-                        load_frac: frac,
-                        report: sim.run(&TraceConfig {
-                            pattern: pattern.with_mean_rps(frac * capacity),
-                            horizon_ms,
-                            seed: SWEEP_SEED,
-                            mix: mix.clone(),
-                        }),
-                    })
-                    .collect();
-                Sweep {
-                    hw: hw.name,
-                    pattern: pattern.name(),
-                    capacity_rps: capacity,
-                    points,
-                }
+            let mut sim = ServeSimulator::new(ServeConfig::new(hw));
+            let capacity = sim.capacity_estimate_rps(&mix);
+            let points = LOAD_FRACTIONS
+                .iter()
+                .map(|&frac| SweepPoint {
+                    load_frac: frac,
+                    report: sim.run(&TraceConfig {
+                        pattern: pattern.with_mean_rps(frac * capacity),
+                        horizon_ms,
+                        seed: SWEEP_SEED,
+                        mix: mix.clone(),
+                    }),
+                })
+                .collect();
+            sweeps.push(Sweep {
+                hw: hw.name,
+                pattern: pattern.name(),
+                capacity_rps: capacity,
+                points,
             });
         }
     }
-    run_jobs_indexed(sweep_threads(), jobs)
+    sweeps
 }
 
 /// Compares every registered scheduling policy at 90% Poisson load on
@@ -765,29 +699,12 @@ pub fn attribution_comparison(
         .collect()
 }
 
-/// One self-metered point of the serving perf trajectory: a standard
-/// scenario plus the [`RunProfile`] its run left behind.
-#[derive(Debug, Clone)]
-pub struct PerfPoint {
-    /// Stable scenario key (`BENCH_serve.json` rows are keyed on it).
-    pub scenario: &'static str,
-    /// Released arrivals the scenario processed.
-    pub arrivals: usize,
-    /// The run's self-metering.
-    pub profile: RunProfile,
-    /// Where the scenario's requests spent their time: each phase's share
-    /// of the aggregate latency breakdown (sums to 1 when traffic ran).
-    /// Fully deterministic, so `BENCH_serve.json` rows double as a phase-
-    /// mix regression gate next to the wall-clock trajectory.
-    pub phase_mix: [f64; PHASES],
-}
-
-/// The four standard perf-trajectory scenarios at `horizon_ms`: the
-/// single-instance batcher, the preemptive control plane under bursty
-/// load, a TP gang with collectives, and the planned diurnal ramp. One
-/// definition shared by [`perf_trajectory`] and the event-core
-/// fingerprint tests, so the metered scenarios and the behavior-pinned
-/// ones cannot diverge.
+/// The four standard scenarios at `horizon_ms`: the single-instance
+/// batcher, the preemptive control plane under bursty load, a TP gang
+/// with collectives, and the planned diurnal ramp. One definition shared
+/// by the goldens of `tests/event_core.rs`, `tests/chaos.rs` and
+/// `tests/attribution.rs`, so the scenarios each suite pins cannot
+/// diverge.
 pub fn standard_scenarios(horizon_ms: f64) -> Vec<(&'static str, ServeConfig, TraceConfig)> {
     let mix = WorkloadMix::multi_tenant();
     let hw = HwConfig::exion4();
@@ -851,176 +768,6 @@ pub fn standard_scenarios(horizon_ms: f64) -> Vec<(&'static str, ServeConfig, Tr
             },
         ),
     ]
-}
-
-/// Runs one scenario and self-meters it into a [`PerfPoint`].
-fn meter_scenario(scenario: &'static str, config: ServeConfig, trace: &TraceConfig) -> PerfPoint {
-    let mut sim = ServeSimulator::new(config);
-    let report = sim.run(trace);
-    let profile = *sim.last_run_profile().expect("run leaves a profile");
-    let phase_mix = report
-        .attribution
-        .as_ref()
-        .map(|a| a.phase_mix())
-        .unwrap_or([0.0; PHASES]);
-    PerfPoint {
-        scenario,
-        arrivals: report.arrivals,
-        profile,
-        phase_mix,
-    }
-}
-
-/// Runs the standard perf-trajectory scenarios ([`standard_scenarios`])
-/// and self-meters each one, fanning the independent runs across
-/// `threads` workers ([`run_jobs_indexed`]) with results in scenario
-/// order. Wall readings are machine- and run-dependent; the simulated
-/// side (arrivals, iterations, makespan) is deterministic, so trajectory
-/// files remain comparable point-to-point and thread-count-independent.
-pub fn perf_trajectory_threads(horizon_cap_ms: Option<f64>, threads: usize) -> Vec<PerfPoint> {
-    let horizon_ms = horizon_cap_ms.unwrap_or(1_500.0).max(100.0);
-    let jobs: Vec<_> = standard_scenarios(horizon_ms)
-        .into_iter()
-        .map(|(scenario, config, trace)| move || meter_scenario(scenario, config, &trace))
-        .collect();
-    run_jobs_indexed(threads, jobs)
-}
-
-/// [`perf_trajectory_threads`] at the `EXION_SWEEP_THREADS` worker count.
-pub fn perf_trajectory(horizon_cap_ms: Option<f64>) -> Vec<PerfPoint> {
-    perf_trajectory_threads(horizon_cap_ms, sweep_threads())
-}
-
-/// The deep-backlog scenario: the bursty MMPP multi-tenant trace at 2× the
-/// single-instance capacity under EDF with admit-all admission, sized so
-/// the horizon carries at least `target_arrivals` requests. Nothing sheds,
-/// so the ready queue grows to order half the trace before the post-horizon
-/// drain — the regime where per-decision queue scans used to dominate the
-/// wall clock and the indexed scheduler's O(log n) path pays off.
-pub fn deep_backlog_point(target_arrivals: usize) -> PerfPoint {
-    let mix = WorkloadMix::multi_tenant();
-    let config = ServeConfig::builder(HwConfig::exion4())
-        .policy_name("edf")
-        .build();
-    let capacity = ServeSimulator::new(config.clone()).capacity_estimate_rps(&mix);
-    // 10% headroom over the expectation so burst-phase variance cannot
-    // leave the run short of `target_arrivals`.
-    let horizon_ms = 1_100.0 * target_arrivals as f64 / (2.0 * capacity).max(1e-9);
-    meter_scenario(
-        "deep_backlog_bursty_exion4",
-        config,
-        &bursty_trace_over(capacity, 2.0, horizon_ms, mix),
-    )
-}
-
-/// The fleet-scale scenario: a mixed placement of `replicas` whole-model
-/// replicas plus `gangs` TP=2 gangs (hundreds of scheduling units),
-/// driven by a Poisson multi-tenant stream sized so the horizon carries
-/// at least `target_arrivals` requests at 80% of the fleet's aggregate
-/// capacity. Arrivals stream lazily out of the trace generator and the
-/// event calendar skips idle units, so the run's memory stays bounded by
-/// the in-flight state, not the trace length.
-pub fn fleet_scale_point(replicas: usize, gangs: usize, target_arrivals: usize) -> PerfPoint {
-    let mix = WorkloadMix::multi_tenant();
-    let hw = HwConfig::exion4();
-    let placement = Placement::mixed(replicas, gangs, PartitionStrategy::Tensor { ways: 2 });
-    let config = ServeConfig::builder(hw).placement(placement).build();
-    let capacity = ServeSimulator::new(config.clone()).capacity_estimate_rps(&mix);
-    let rate_rps = 0.8 * capacity;
-    // 10% headroom over the expectation so Poisson variance cannot leave
-    // the run short of `target_arrivals`.
-    let horizon_ms = 1_100.0 * target_arrivals as f64 / rate_rps.max(1e-9);
-    meter_scenario(
-        "fleet_scale_mixed_exion4",
-        config,
-        &TraceConfig {
-            pattern: TrafficPattern::Poisson { rate_rps },
-            horizon_ms,
-            seed: SWEEP_SEED,
-            mix,
-        },
-    )
-}
-
-/// The chaos scenario: the fleet-scale mixed placement under a seeded
-/// fault plan (MTBF-exponential crashes rotating across the fleet, each
-/// repaired after a sixth of the horizon) with periodic latent
-/// checkpointing, driven by a Poisson multi-tenant stream sized for at
-/// least `target_arrivals` requests. The row prices what fault handling
-/// costs the event core: teardown drains, out-of-cadence re-plans, and
-/// recovery refills all land in the metered wall clock.
-pub fn chaos_point(target_arrivals: usize) -> PerfPoint {
-    let mix = WorkloadMix::multi_tenant();
-    let hw = HwConfig::exion4();
-    let placement = Placement::mixed(6, 2, PartitionStrategy::Tensor { ways: 2 });
-    let capacity = ServeSimulator::new(ServeConfig::builder(hw).placement(placement).build())
-        .capacity_estimate_rps(&mix);
-    let rate_rps = 0.8 * capacity;
-    let horizon_ms = 1_100.0 * target_arrivals as f64 / rate_rps.max(1e-9);
-    let config = ServeConfig::builder(hw)
-        .placement(placement)
-        .fault_plan(FaultPlan::seeded(
-            SWEEP_SEED,
-            horizon_ms,
-            horizon_ms / 8.0,
-            horizon_ms / 6.0,
-            6,
-        ))
-        .checkpoint_every(10)
-        .build();
-    meter_scenario(
-        "chaos_seeded_mixed_exion4",
-        config,
-        &TraceConfig {
-            pattern: TrafficPattern::Poisson { rate_rps },
-            horizon_ms,
-            seed: SWEEP_SEED,
-            mix,
-        },
-    )
-}
-
-/// Renders a perf trajectory as the `BENCH_serve.json` document: one row
-/// per scenario with the simulated work done and the wall-clock it cost
-/// (hand-written JSON — the workspace carries no JSON dependency).
-pub fn perf_trajectory_json(points: &[PerfPoint]) -> String {
-    let mut out = String::from("{\"bench\":\"serve\",\"schema\":3,\"points\":[");
-    for (i, p) in points.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"scenario\":");
-        push_str(&mut out, p.scenario);
-        out.push_str(&format!(
-            ",\"arrivals\":{},\"completed\":{},\"iterations\":{}",
-            p.arrivals, p.profile.completed, p.profile.iterations
-        ));
-        out.push_str(",\"makespan_ms\":");
-        push_f64(&mut out, p.profile.makespan_ms);
-        out.push_str(",\"wall_ms\":");
-        push_f64(&mut out, p.profile.wall_ms);
-        out.push_str(",\"planner_wall_ms\":");
-        push_f64(&mut out, p.profile.planner_wall_ms);
-        out.push_str(&format!(",\"planner_calls\":{}", p.profile.planner_calls));
-        out.push_str(&format!(
-            ",\"events_executed\":{},\"peak_calendar_events\":{}",
-            p.profile.events_executed, p.profile.peak_calendar_events
-        ));
-        out.push_str(",\"sim_ms_per_wall_ms\":");
-        push_f64(&mut out, p.profile.sim_ms_per_wall_ms());
-        // The deterministic phase mix (indexed by `Phase::ALL` order):
-        // the regression gate reads these shares next to the wall clock.
-        out.push_str(",\"phase_mix\":[");
-        for (j, &share) in p.phase_mix.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            push_f64(&mut out, share);
-        }
-        out.push_str("]}");
-    }
-    out.push_str("]}");
-    out
 }
 
 /// Runs the full experiment.
@@ -1413,29 +1160,6 @@ pub fn run() -> String {
         &rows,
     ));
 
-    out.push_str(
-        "\nSelf-metered perf trajectory (the BENCH_serve.json scenarios):\n\
-         (simulated side is deterministic; wall readings vary by machine)\n",
-    );
-    let rows: Vec<Vec<String>> = perf_trajectory(None)
-        .iter()
-        .map(|p| {
-            vec![
-                p.scenario.to_string(),
-                format!("{}", p.arrivals),
-                format!("{}", p.profile.iterations),
-                format!("{:.0}", p.profile.makespan_ms),
-                format!("{:.1}", p.profile.wall_ms),
-                format!("{:.0}", p.profile.sim_ms_per_wall_ms()),
-            ]
-        })
-        .collect();
-    out.push_str(&render_table(
-        &[
-            "scenario", "arrivals", "iters", "sim ms", "wall ms", "sim/wall",
-        ],
-        &rows,
-    ));
     out
 }
 
@@ -1672,156 +1396,6 @@ mod tests {
         // mean — exact under the streaming histogram, where quantized
         // percentiles may land in the same bucket.
         assert_ne!(analytic.latency.mean, measured.latency.mean);
-    }
-
-    #[test]
-    fn fleet_scale_point_streams_a_bounded_heap() {
-        // A miniature of the committed fleet run: mixed placement, lazy
-        // arrivals, calendar-driven loop. The heap must stay bounded by
-        // the unit count plus the two recurring events — never grow with
-        // the trace length.
-        let p = fleet_scale_point(6, 2, 400);
-        assert_eq!(p.scenario, "fleet_scale_mixed_exion4");
-        assert!(
-            p.arrivals >= 400,
-            "sized for >= 400 arrivals, got {}",
-            p.arrivals
-        );
-        assert_eq!(p.profile.completed, p.arrivals);
-        assert!(p.profile.events_executed >= p.profile.iterations);
-        // One live entry per unit plus the two recurring events, plus
-        // transiently stale reschedule leftovers — but never anything
-        // that scales with the 400-arrival trace length.
-        assert!(
-            p.profile.peak_calendar_events <= 64,
-            "heap peaked at {} events for 8 units",
-            p.profile.peak_calendar_events
-        );
-    }
-
-    #[test]
-    fn parallel_driver_is_thread_count_invariant() {
-        // The deterministic half of every PerfPoint (everything except the
-        // wall readings) must not depend on the worker count, and results
-        // must come back in scenario order.
-        let serial = perf_trajectory_threads(Some(300.0), 1);
-        let parallel = perf_trajectory_threads(Some(300.0), 3);
-        assert_eq!(serial.len(), parallel.len());
-        for (a, b) in serial.iter().zip(&parallel) {
-            assert_eq!(a.scenario, b.scenario, "scenario order must be indexed");
-            assert_eq!(a.arrivals, b.arrivals, "{}", a.scenario);
-            assert_eq!(a.profile.completed, b.profile.completed, "{}", a.scenario);
-            assert_eq!(a.profile.iterations, b.profile.iterations, "{}", a.scenario);
-            assert_eq!(
-                a.profile.makespan_ms.to_bits(),
-                b.profile.makespan_ms.to_bits(),
-                "{}",
-                a.scenario
-            );
-            assert_eq!(
-                a.profile.events_executed, b.profile.events_executed,
-                "{}",
-                a.scenario
-            );
-            assert_eq!(
-                a.profile.peak_calendar_events, b.profile.peak_calendar_events,
-                "{}",
-                a.scenario
-            );
-        }
-    }
-
-    #[test]
-    fn indexed_driver_preserves_job_order_under_contention() {
-        // More jobs than workers, deliberately uneven costs: the output
-        // must still be slot-ordered, not completion-ordered.
-        let jobs: Vec<_> = (0..32usize)
-            .map(|i| {
-                move || {
-                    if i % 5 == 0 {
-                        std::thread::sleep(std::time::Duration::from_millis(2));
-                    }
-                    i * i
-                }
-            })
-            .collect();
-        let out = run_jobs_indexed(4, jobs);
-        assert_eq!(out, (0..32usize).map(|i| i * i).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn deep_backlog_point_builds_and_drains_the_backlog() {
-        // A miniature of the committed deep-backlog row: 2x load with
-        // admit-all means roughly half the trace is queued by the horizon,
-        // and everything still completes in the drain.
-        let p = deep_backlog_point(1_500);
-        assert_eq!(p.scenario, "deep_backlog_bursty_exion4");
-        assert!(p.arrivals >= 1_500, "sized for >= 1500, got {}", p.arrivals);
-        assert_eq!(p.profile.completed, p.arrivals, "admit-all must not shed");
-        // The post-horizon drain tail stretches the makespan well past the
-        // trace horizon — evidence the run actually went through a
-        // deep-backlog phase rather than keeping up with arrivals.
-        let capacity = ServeSimulator::new(
-            ServeConfig::builder(HwConfig::exion4())
-                .policy_name("edf")
-                .build(),
-        )
-        .capacity_estimate_rps(&WorkloadMix::multi_tenant());
-        let horizon_ms = 1_100.0 * 1_500.0 / (2.0 * capacity);
-        assert!(
-            p.profile.makespan_ms > 1.3 * horizon_ms,
-            "makespan {} vs horizon {}",
-            p.profile.makespan_ms,
-            horizon_ms
-        );
-        assert!(p.profile.iterations > 0);
-    }
-
-    #[test]
-    fn perf_trajectory_meters_every_scenario() {
-        let points = perf_trajectory(Some(400.0));
-        assert_eq!(points.len(), 4);
-        for p in &points {
-            assert!(p.arrivals > 0, "{}: no traffic", p.scenario);
-            assert!(p.profile.iterations > 0, "{}: no iterations", p.scenario);
-            assert!(p.profile.wall_ms > 0.0, "{}: unmetered", p.scenario);
-            assert!(p.profile.makespan_ms > 0.0);
-            assert!(
-                p.profile.events_executed >= p.profile.iterations,
-                "{}: every iteration rides a calendar event",
-                p.scenario
-            );
-            assert!(
-                p.profile.peak_calendar_events >= 1,
-                "{}: empty heap",
-                p.scenario
-            );
-        }
-        // The planned scenario must meter its planner scoring.
-        let planned = points
-            .iter()
-            .find(|p| p.scenario == "planned_diurnal_exion4")
-            .unwrap();
-        assert!(planned.profile.planner_calls >= 1);
-        // Every standard scenario runs traffic, so every phase mix is a
-        // genuine distribution: the deterministic regression gate reads
-        // these shares out of BENCH_serve.json.
-        for p in &points {
-            let sum: f64 = p.phase_mix.iter().sum();
-            assert!(
-                (sum - 1.0).abs() < 1e-9,
-                "{}: phase mix sums to {sum}",
-                p.scenario
-            );
-            assert!(p.phase_mix.iter().all(|&s| (0.0..=1.0).contains(&s)));
-        }
-        let json = perf_trajectory_json(&points);
-        assert!(exion_serve::telemetry::json::is_well_formed(&json));
-        assert!(json.contains("\"schema\":3"));
-        assert!(json.contains("\"sim_ms_per_wall_ms\""));
-        assert!(json.contains("\"events_executed\""));
-        assert!(json.contains("\"peak_calendar_events\""));
-        assert!(json.contains("\"phase_mix\":["));
     }
 
     #[test]

@@ -309,8 +309,10 @@ impl EventCalendar {
         self.heap.is_empty()
     }
 
-    /// The largest number of pending entries seen — exported through
-    /// `RunProfile` so the trajectory tracks event-core health.
+    /// The largest number of pending entries seen, exported as
+    /// `RunProfile::peak_calendar_events`: perfbench reports it as
+    /// `cluster.peak_calendar_events`, and `tests/event_core.rs` pins it
+    /// in its work goldens and bounds it on a fleet-sized run.
     pub fn peak_len(&self) -> usize {
         self.peak_len
     }

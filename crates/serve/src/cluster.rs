@@ -686,9 +686,10 @@ pub struct RunProfile {
 }
 
 impl RunProfile {
-    /// Simulated milliseconds bought per wall-clock millisecond — the
-    /// headline `BENCH_serve.json` trajectory metric (0.0 when the run
-    /// was too fast to measure).
+    /// Simulated milliseconds bought per wall-clock millisecond (0.0 when
+    /// the run was too fast to measure). One run's reading is a print-out,
+    /// not a benchmark: the repository benchmark (`perfbench/`) reports
+    /// host throughput as `ops_per_s` over repeated timed passes.
     pub fn sim_ms_per_wall_ms(&self) -> f64 {
         if self.wall_ms > 0.0 {
             self.makespan_ms / self.wall_ms

@@ -9,6 +9,11 @@
 //! cargo run --release --example serving_sim
 //! ```
 //!
+//! The example prints simulated results; timing the serving stack is the
+//! repository benchmark's job (`perfbench/`, workloads `serve_fleet`,
+//! `serve_backlog` and `serve_control`), whose repeated runs
+//! `BENCH_serve.json` records.
+//!
 //! `EXION_SERVE_HORIZON_MS` caps the trace horizon (CI smoke runs use a
 //! small value; the default is the full 4 s trace).
 //! `EXION_SERVE_MODE=sharded` runs only the replicated-vs-sharded
@@ -25,18 +30,6 @@
 //! latency-attribution report (per-request phase breakdowns, miss
 //! forensics) as JSON to `<path>`; the attribution table the example
 //! prints per mode comes from the same representative run.
-//! `EXION_SERVE_BENCH=<path>` self-meters the standard perf-trajectory
-//! scenarios and writes the `BENCH_serve.json` document to `<path>`
-//! (`EXION_SWEEP_THREADS=<k>` fans the independent scenario runs across
-//! `k` scoped threads; the export is byte-identical at any thread count).
-//! `EXION_SERVE_DEEP_ARRIVALS=<n>` additionally appends the deep-backlog
-//! point (bursty MMPP at 2x capacity, admit-all, `n` arrivals) — the
-//! committed file carries `n = 100_000`.
-//! `EXION_SERVE_FLEET_ARRIVALS=<n>` additionally appends the fleet-scale
-//! point (102 scheduling units, `n` lazily streamed arrivals) to that
-//! document — the committed file carries `n = 1_000_000`.
-//! `EXION_SERVE_CHAOS_ARRIVALS=<n>` additionally appends the chaos point
-//! (the mixed fleet under a seeded crash plan with checkpointing).
 //! `EXION_SERVE_FAULTS=<spec>` injects a fault plan into every scenario
 //! this example builds itself (the load sweeps, the policy/preemption
 //! comparisons, and the traced scenario of whichever mode is selected):
@@ -55,8 +48,7 @@ use exion::serve::{
 use exion::sim::config::HwConfig;
 use exion::sim::partition::PartitionStrategy;
 use exion_bench::experiments::serve_sweep::{
-    admission_comparison, chaos_comparison, chaos_point, deep_backlog_point, fleet_scale_point,
-    goodput_crossover, perf_trajectory, perf_trajectory_json, planner_comparison,
+    admission_comparison, chaos_comparison, goodput_crossover, planner_comparison,
     sharding_comparison,
 };
 use exion_model::config::ModelKind;
@@ -495,67 +487,9 @@ fn attribution_section(horizon_ms: f64, mode: &str) {
     }
 }
 
-/// `EXION_SERVE_BENCH=<path>`: self-meter the standard perf-trajectory
-/// scenarios and write the `BENCH_serve.json` document.
-fn maybe_export_bench(horizon_ms: f64) {
-    let Ok(path) = std::env::var("EXION_SERVE_BENCH") else {
-        return;
-    };
-    let mut points = perf_trajectory(Some(horizon_ms));
-    // `EXION_SERVE_DEEP_ARRIVALS=<n>`: append the deep-backlog point —
-    // bursty MMPP at 2x capacity under admit-all, so the ready queue grows
-    // to order n/2 before the drain. The committed BENCH_serve.json
-    // carries n = 100_000.
-    if let Ok(n) = std::env::var("EXION_SERVE_DEEP_ARRIVALS") {
-        let target: usize = n
-            .parse()
-            .expect("EXION_SERVE_DEEP_ARRIVALS must be an integer");
-        points.push(deep_backlog_point(target));
-    }
-    // `EXION_SERVE_FLEET_ARRIVALS=<n>`: append the fleet-scale point —
-    // 100+ scheduling units driven by n lazily streamed arrivals. The
-    // committed BENCH_serve.json carries n = 1_000_000.
-    if let Ok(n) = std::env::var("EXION_SERVE_FLEET_ARRIVALS") {
-        let target: usize = n
-            .parse()
-            .expect("EXION_SERVE_FLEET_ARRIVALS must be an integer");
-        points.push(fleet_scale_point(90, 12, target));
-    }
-    // `EXION_SERVE_CHAOS_ARRIVALS=<n>`: append the chaos point — the
-    // mixed fleet under a seeded crash plan with periodic latent
-    // checkpointing, pricing teardown drains, out-of-cadence re-plans,
-    // and recovery refills into the metered wall clock.
-    if let Ok(n) = std::env::var("EXION_SERVE_CHAOS_ARRIVALS") {
-        let target: usize = n
-            .parse()
-            .expect("EXION_SERVE_CHAOS_ARRIVALS must be an integer");
-        points.push(chaos_point(target));
-    }
-    std::fs::write(&path, perf_trajectory_json(&points)).expect("write BENCH_serve.json");
-    println!(
-        "wrote perf trajectory ({} scenarios) to {path}",
-        points.len()
-    );
-    for p in &points {
-        println!(
-            "  {:>30}: {:>8} arrivals | {:>8} iters | {:>8} events (peak heap {:>4}) | \
-             sim {:>9.0} ms | wall {:>8.1} ms | {:>5.0} sim-ms/wall-ms",
-            p.scenario,
-            p.arrivals,
-            p.profile.iterations,
-            p.profile.events_executed,
-            p.profile.peak_calendar_events,
-            p.profile.makespan_ms,
-            p.profile.wall_ms,
-            p.profile.sim_ms_per_wall_ms(),
-        );
-    }
-}
-
 fn main() {
     let mix = WorkloadMix::multi_tenant();
     let horizon_ms = horizon_ms();
-    maybe_export_bench(horizon_ms);
     if std::env::var("EXION_SERVE_MODE").as_deref() == Ok("sharded") {
         // CI sharded smoke: just the gang-scheduling path.
         sharded_comparison(horizon_ms);

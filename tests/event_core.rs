@@ -1,10 +1,16 @@
 //! Event-calendar core pins: the heap-driven cluster loop must reproduce
 //! the pre-refactor unit-scan loop bit for bit on the four standard
-//! `BENCH_serve.json` scenarios (fixed seeds, sinks on and off), idle
-//! units must execute nothing during arrival gaps, metric snapshots must
-//! land on exact cadence multiples, conservation + determinism must hold
-//! on randomized fleet-sized placements, and a 49-config corpus must
+//! scenarios (`serve_sweep::standard_scenarios`; fixed seeds, sinks on and
+//! off), and each scenario's phase mix and run counts must match an exact
+//! golden. Idle units must execute nothing during arrival gaps, metric
+//! snapshots must land on exact cadence multiples, a fleet-sized run's
+//! calendar must stay bounded by its units, a deep backlog must build and
+//! drain (with a work golden of its own), conservation + determinism must
+//! hold on randomized fleet-sized placements, and a 49-config corpus must
 //! reproduce its whole report and telemetry stream byte for byte.
+//!
+//! Timing is not pinned here: the repository benchmark (`perfbench/`)
+//! measures it, and CI gates it against `BENCH_serve.json`.
 
 use exion::serve::policy::BUILTIN_POLICY_NAMES;
 use exion::serve::{
