@@ -379,7 +379,8 @@ pub struct AttributionReport {
 
 impl AttributionReport {
     /// Each phase's share of the total attributed milliseconds (all zeros
-    /// when nothing was attributed) — the bench regression fingerprint.
+    /// when nothing was attributed). Deterministic at a seed, so the work
+    /// goldens in `tests/event_core.rs` pin it bit for bit.
     pub fn phase_mix(&self) -> [f64; PHASES] {
         let total = self.totals.total_ms();
         let mut mix = [0.0; PHASES];
