@@ -31,8 +31,8 @@ fn config(kind: ModelKind) -> ModelConfig {
     ModelConfig::for_kind(kind).shrunk(1, 12)
 }
 
-/// A context whose models are cut under `strategy` (no plans for
-/// replicas).
+/// A context whose models are cut under `strategy`: the `Replicated` plan
+/// the context always carries, plus a gang plan for any other strategy.
 fn ctx_for(policy: Arc<dyn policy::SchedulerPolicy>, strategy: PartitionStrategy) -> SchedContext {
     let hw = HwConfig::exion4();
     let mut cost = CostModel::new(hw, SimAblation::All);

@@ -26,8 +26,8 @@ use std::collections::BinaryHeap;
 /// What a scheduled calendar entry does when popped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// Snapshot the counter/gauge registry (recurring `stats_interval_ms`
-    /// cadence).
+    /// Snapshot the cluster's counters and gauges (recurring
+    /// `stats_interval_ms` cadence).
     StatsSample,
     /// A planner epoch end: record realized load and possibly re-plan.
     EpochBoundary,
@@ -199,7 +199,7 @@ impl EventCalendar {
         self.unit_times[unit].is_finite()
     }
 
-    /// Schedules the next metric-registry snapshot.
+    /// Schedules the next counter/gauge snapshot.
     pub fn schedule_stats(&mut self, at_ms: f64) {
         let era = self.era;
         self.push(Event {

@@ -190,7 +190,7 @@ pub struct ServeConfig {
     /// `placement` field is ignored.
     pub auto_placement: Option<AutoPlacement>,
     /// Telemetry sampling interval (ms of simulated time): when set, the
-    /// cluster counter/gauge registry is snapshotted into
+    /// cluster's counters and gauges are snapshotted into
     /// [`ServeReport::series`] every interval (in addition to planner
     /// epoch boundaries). `None` (the default) samples at epoch
     /// boundaries only.
@@ -358,7 +358,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Samples the cluster counter/gauge registry into the report's
+    /// Samples the cluster's counters and gauges into the report's
     /// time-series every `interval_ms` of simulated time (planner epoch
     /// boundaries are always sampled; this adds a fixed cadence for
     /// statically placed runs).
@@ -784,7 +784,6 @@ impl ArrivalReleaser {
 pub struct ServeSimulator {
     config: ServeConfig,
     cost: CostModel,
-    model_configs: HashMap<ModelKind, ModelConfig>,
     partition_plans: HashMap<(ModelKind, PartitionStrategy), exion_sim::partition::PartitionPlan>,
     last_profile: Option<RunProfile>,
 }
@@ -797,7 +796,6 @@ impl ServeSimulator {
         Self {
             config,
             cost,
-            model_configs: HashMap::new(),
             partition_plans: HashMap::new(),
             last_profile: None,
         }
@@ -829,13 +827,6 @@ impl ServeSimulator {
         self.cost.set_profile(kind, profile)
     }
 
-    fn model_config(&mut self, kind: ModelKind) -> ModelConfig {
-        *self
-            .model_configs
-            .entry(kind)
-            .or_insert_with(|| ModelConfig::for_kind(kind))
-    }
-
     /// The partition plan of `kind` under `strategy` over `interconnect`,
     /// built once per (model, strategy) per simulator (pipeline plans walk
     /// per-stage op lists; auto-placement can visit several strategies
@@ -855,9 +846,8 @@ impl ServeSimulator {
                 return plan.clone();
             }
         }
-        let config = self.model_config(kind);
         let plan = exion_sim::partition::PartitionPlan::new(
-            &config,
+            &ModelConfig::for_kind(kind),
             strategy,
             interconnect,
             self.config.hw.operand_bytes(),
@@ -870,8 +860,6 @@ impl ServeSimulator {
     /// `placement` (the static config's, or whatever the planner currently
     /// has deployed), reusing the simulator's memoized partition plans.
     fn sched_context(&mut self, kinds: &[ModelKind], placement: &Placement) -> SchedContext {
-        let configs: HashMap<ModelKind, ModelConfig> =
-            kinds.iter().map(|&k| (k, self.model_config(k))).collect();
         let (strategy, link) = (placement.strategy, placement.interconnect);
         let sharded = placement.gangs > 0 && strategy != PartitionStrategy::Replicated;
         let plans: HashMap<ModelKind, exion_sim::partition::PartitionPlan> = if sharded {
@@ -888,11 +876,7 @@ impl ServeSimulator {
             kinds,
             &mut self.cost,
             placement.interconnect,
-            |k| {
-                *configs
-                    .get(&k)
-                    .expect("every traced model kind is precomputed")
-            },
+            ModelConfig::for_kind,
             |k| plans.get(&k).cloned(),
         )
     }
@@ -915,7 +899,7 @@ impl ServeSimulator {
             // 1 / Σ (w_k / r_k) requests/s per unit.
             let mut spr = 0.0;
             for &(kind, w, _) in &mix.entries {
-                let config = self.model_config(kind);
+                let config = ModelConfig::for_kind(kind);
                 let plan = self.partition_plan(kind, strategy, placement.interconnect);
                 let gen_ms = self
                     .cost
@@ -958,11 +942,9 @@ impl ServeSimulator {
     /// # Panics
     ///
     /// Panics with the [`ConfigError`] message, before any arrival is
-    /// drawn, when `trace` fails [`TraceConfig::validate`].
+    /// drawn or any placement is planned, when `trace` fails
+    /// [`TraceConfig::validate`] (the check [`ArrivalStream::new`] makes).
     pub fn run_traced(&mut self, trace: &TraceConfig, sink: &mut dyn Sink) -> ServeReport {
-        if let Err(e) = trace.validate() {
-            panic!("invalid serving trace: {e}");
-        }
         ClusterRun::new(self, trace, sink).run()
     }
 }
@@ -1031,7 +1013,7 @@ struct ClusterRun<'a> {
     latency_hist: LogHistogram,
     queue_hist: LogHistogram,
     /// Counter/gauge time-series, sampled at epoch boundaries and every
-    /// `stats_interval_ms`; the running totals below are what it diffs.
+    /// `stats_interval_ms`; the running totals below are what it records.
     series: SeriesRecorder,
     enqueued_total: u64,
     parks_total: u64,
@@ -1074,6 +1056,9 @@ impl<'a> ClusterRun<'a> {
     /// planner epoch and every fault-plan event.
     fn new(sim: &'a mut ServeSimulator, trace: &'a TraceConfig, sink: &'a mut dyn Sink) -> Self {
         let run_start = std::time::Instant::now();
+        // Opening the stream validates the trace, so a bad one fails here,
+        // before any pricing or planning.
+        let releaser = ArrivalReleaser::new(trace);
         let mut planner_watch = StopWatch::new();
         // Requests are minted at release time from per-kind constants: the
         // SLO scales the model's steady-state service time (a full
@@ -1084,7 +1069,7 @@ impl<'a> ClusterRun<'a> {
         let request_proto = kinds
             .iter()
             .map(|&kind| {
-                let config = sim.model_config(kind);
+                let config = ModelConfig::for_kind(kind);
                 let slo_ms = trace.mix.slo_multiplier(kind)
                     * sim.cost.generation_latency_ms(&config, max_batch);
                 (kind, (slo_ms, config.iterations))
@@ -1126,7 +1111,7 @@ impl<'a> ClusterRun<'a> {
             planner_watch,
             kinds,
             request_proto,
-            releaser: ArrivalReleaser::new(trace),
+            releaser,
             placement,
             planner,
             units: Vec::new(),
@@ -1217,7 +1202,7 @@ impl<'a> ClusterRun<'a> {
         self.finish()
     }
 
-    /// Fixed-cadence registry snapshot (when configured). Pure
+    /// Fixed-cadence counter/gauge snapshot (when configured). Pure
     /// observation — nothing feeds back into the run — so it ranks
     /// before same-instant epoch and unit events.
     fn on_stats_sample(&mut self, at_ms: f64) {
@@ -2070,7 +2055,8 @@ impl<'a> ClusterRun<'a> {
         }
     }
 
-    /// Snapshots the counter/gauge registry into the report time-series.
+    /// Snapshots the running counters and gauges into the report
+    /// time-series.
     fn snapshot_series(&mut self, at_ms: f64) {
         debug_assert_eq!(
             self.inflight_rows,

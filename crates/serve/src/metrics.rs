@@ -89,23 +89,24 @@ impl LatencyStats {
 /// One named value inside a [`MetricsSnapshot`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricSample {
-    /// Metric name (registry registration order is preserved).
+    /// Metric name: one of [`SERIES_COUNTERS`] or [`SERIES_GAUGES`].
     pub name: String,
     /// Value at the snapshot instant (counters as `f64`).
     pub value: f64,
 }
 
-/// The cluster's counter/gauge registry captured at one epoch boundary —
-/// the rows of [`ServeReport::series`].
+/// The cluster's counters and gauges captured at one stats or epoch
+/// instant — the rows of [`ServeReport::series`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MetricsSnapshot {
     /// Simulated time of the snapshot (ms).
     pub at_ms: f64,
-    /// Every registered metric, in registration order.
+    /// Every [`SERIES_COUNTERS`] running total, then every
+    /// [`SERIES_GAUGES`] level, in those constants' order.
     pub values: Vec<MetricSample>,
 }
 
-/// Counter names in registration (= snapshot) order.
+/// Counter names in snapshot order.
 pub const SERIES_COUNTERS: [&str; 9] = [
     "arrivals_released",
     "enqueued",
@@ -118,64 +119,43 @@ pub const SERIES_COUNTERS: [&str; 9] = [
     "lost",
 ];
 
-/// Gauge names in registration (= snapshot) order.
+/// Gauge names in snapshot order.
 pub const SERIES_GAUGES: [&str; 3] = ["queue_depth", "inflight_rows", "clock_ms"];
 
-/// The cluster's counter/gauge registry plus the snapshots taken at
-/// calendar stats/epoch events. Counters arrive as running totals (the
-/// cluster's existing accumulators) and are diffed against the previous
-/// snapshot, so the hot loop never touches the registry.
-#[derive(Debug, Clone)]
+/// The snapshots taken at calendar stats/epoch events. Counters arrive as
+/// the cluster's running totals and gauges as current levels, so the hot
+/// loop never touches the recorder.
+#[derive(Debug, Clone, Default)]
 pub struct SeriesRecorder {
-    registry: exion_telemetry::Registry,
     series: Vec<MetricsSnapshot>,
-    last: Vec<(&'static str, u64)>,
-}
-
-impl Default for SeriesRecorder {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl SeriesRecorder {
-    /// An empty recorder with every [`SERIES_COUNTERS`] /
-    /// [`SERIES_GAUGES`] metric pre-registered at zero.
+    /// An empty recorder.
     pub fn new() -> Self {
-        let mut registry = exion_telemetry::Registry::new();
-        let mut last = Vec::with_capacity(SERIES_COUNTERS.len());
-        for name in SERIES_COUNTERS {
-            registry.counter_add(name, 0);
-            last.push((name, 0u64));
-        }
-        for name in SERIES_GAUGES {
-            registry.gauge_set(name, 0.0);
-        }
-        Self {
-            registry,
-            series: Vec::new(),
-            last,
-        }
+        Self::default()
     }
 
     /// Takes one snapshot at `at_ms`: `counters` are running totals in
     /// [`SERIES_COUNTERS`] order, `gauges` current levels in
     /// [`SERIES_GAUGES`] order.
     pub fn snapshot(&mut self, at_ms: f64, counters: [u64; 9], gauges: [f64; 3]) {
-        for ((name, prev), total) in self.last.iter_mut().zip(counters) {
-            debug_assert!(total >= *prev, "counter {name} went backward");
-            self.registry.counter_add(name, total.saturating_sub(*prev));
-            *prev = total;
+        let counters = counters.map(|total| total as f64);
+        if let Some(prev) = self.series.last() {
+            for (sample, total) in prev.values.iter().zip(counters) {
+                debug_assert!(
+                    total >= sample.value,
+                    "counter {} went backward",
+                    sample.name
+                );
+            }
         }
-        for (name, value) in SERIES_GAUGES.into_iter().zip(gauges) {
-            self.registry.gauge_set(name, value);
-        }
+        let names = SERIES_COUNTERS.into_iter().chain(SERIES_GAUGES);
+        let values = counters.into_iter().chain(gauges);
         self.series.push(MetricsSnapshot {
             at_ms,
-            values: self
-                .registry
-                .snapshot()
-                .into_iter()
+            values: names
+                .zip(values)
                 .map(|(name, value)| MetricSample {
                     name: name.to_string(),
                     value,
@@ -444,8 +424,8 @@ pub struct ServeReport {
     /// miss-forensics digest (`None` when disabled via
     /// `ServeConfigBuilder::attribution(false)`).
     pub attribution: Option<crate::attribution::AttributionReport>,
-    /// Counter/gauge time-series: the cluster registry snapshotted at
-    /// planner epoch boundaries (and at the configured
+    /// Counter/gauge time-series: the cluster's running totals and levels
+    /// snapshotted at planner epoch boundaries (and at the configured
     /// `stats_interval_ms`, when set), in time order. Empty for static
     /// runs without a sampling interval.
     pub series: Vec<MetricsSnapshot>,

@@ -1,12 +1,13 @@
 //! Placement: grouping instances into whole-model replicas and sharded
 //! TP/PP gangs.
 //!
-//! A [`Gang`] is the cluster's unit of execution. A replica gang has one
-//! member running the whole model; a sharded gang has
-//! [`PartitionStrategy::degree`] members, each holding *its own shard* of
-//! every served model in *its own* GSC
+//! A [`Gang`] is the cluster's unit of execution: [`PartitionStrategy::degree`]
+//! members, member `s` holding *shard `s`* of every served model's
+//! [`exion_sim::partition::PartitionPlan`] in *its own* GSC
 //! ([`exion_sim::residency::GscObject::WeightShard`] entries priced per
-//! member). Gangs are iteration-synchronous: a sharded batch
+//! member). A replica is the one-member unit of the
+//! [`PartitionStrategy::Replicated`] plan, whose one shard is the whole
+//! model. Gangs are iteration-synchronous: a sharded batch
 //! advances only when every member has finished its shard (tensor ranks run
 //! concurrently, pipeline stages sequentially), so the gang keeps one
 //! logical clock — the leader's — and followers advance in lockstep.
@@ -30,7 +31,7 @@ use crate::cost::CostModel;
 use crate::metrics::{GangStats, InstanceStats};
 use crate::queue::ReadyQueue;
 use crate::request::Completion;
-use crate::scheduler::{plan_of, AdmitOutcome, Instance, SchedContext};
+use crate::scheduler::{AdmitOutcome, Instance, SchedContext};
 
 /// How a cluster's instances are grouped: `replicas` single-instance
 /// whole-model units plus `gangs` sharded units of `strategy.degree()`
@@ -166,34 +167,24 @@ pub struct Gang {
 }
 
 impl Gang {
-    /// A whole-model replica unit over instance id `id`.
+    /// A whole-model replica unit over instance id `id`: the one-member
+    /// unit of the [`PartitionStrategy::Replicated`] plan.
     pub fn replica(id: usize, hw: &HwConfig, eviction: EvictionPolicy) -> Self {
-        Self {
-            members: vec![Instance::new(id, hw, eviction)],
-            strategy: PartitionStrategy::Replicated,
-            last_model: None,
-            dead: vec![false],
-            costs: Vec::with_capacity(1),
-            collective_ms: 0.0,
-            collective_bytes: 0,
-        }
+        Self::sharded(id, hw, eviction, PartitionStrategy::Replicated)
     }
 
-    /// A sharded gang whose members take instance ids `first_id..`, shard
-    /// `s` to member `s`. A degenerate [`PartitionStrategy::Replicated`]
-    /// "gang" is just a replica (one whole-model member).
+    /// A unit of `strategy` whose members take instance ids `first_id..`,
+    /// shard `s` to member `s` (one whole-model member under
+    /// [`PartitionStrategy::Replicated`]).
     pub fn sharded(
         first_id: usize,
         hw: &HwConfig,
         eviction: EvictionPolicy,
         strategy: PartitionStrategy,
     ) -> Self {
-        if strategy == PartitionStrategy::Replicated {
-            return Self::replica(first_id, hw, eviction);
-        }
         let degree = strategy.degree();
         let mut members: Vec<Instance> = (0..degree)
-            .map(|s| Instance::new_shard(first_id + s, hw, eviction, s as u8))
+            .map(|s| Instance::new_shard(first_id + s, hw, eviction, strategy, s as u8))
             .collect();
         for m in &mut members {
             m.set_unit(first_id, degree);
@@ -398,7 +389,8 @@ impl Gang {
 
     /// Cumulative interconnect-collective accounting `(ms, bytes)` —
     /// telemetry reads the per-iteration delta to size collective slices
-    /// on the timeline (always zero for replicas).
+    /// on the timeline (always zero for replicas, whose plan has no
+    /// collective).
     pub fn collective_totals(&self) -> (f64, u64) {
         (self.collective_ms, self.collective_bytes)
     }
@@ -406,13 +398,13 @@ impl Gang {
     /// Executes one denoising iteration of the unit's running batch — the
     /// only execution path, for replicas and gangs alike.
     ///
-    /// Every member touches *its* weights (the whole model on a replica,
-    /// its shard on a gang member) in *its own* GSC and prices its compute
-    /// at its warm fraction. A one-member unit books its member's cost as
-    /// is. A gang advances only when all members are done:
+    /// Every member touches *its* shard of the unit's plan (the whole model
+    /// on a replica) in *its own* GSC and prices its compute at its warm
+    /// fraction. The unit advances only when all members are done:
     /// [`exion_sim::partition::PartitionPlan::combine`] max-composes tensor
     /// ranks, sum-composes pipeline stages and adds the interconnect
-    /// collective term.
+    /// collective term — for a replica's one shard it returns that shard's
+    /// cost bit for bit, since the `Replicated` plan has no collective.
     ///
     /// # Panics
     ///
@@ -459,21 +451,15 @@ impl Gang {
             self.costs
                 .push(member.price_step(cost, ctx, info, batch, phase));
         }
-        let (latency_ms, leader_energy_mj) = match self.costs.as_slice() {
-            [lone] => (lone.latency_ms, lone.energy_mj),
-            costs => {
-                let plan = plan_of(info);
-                let gang_cost = plan.combine(costs, batch);
-                self.collective_ms += plan.collective_ms(batch);
-                self.collective_bytes += plan.collective_bytes(batch);
-                // The link energy is booked on the leader along with its
-                // shard; the whole gang is occupied for the combined
-                // latency (lockstep).
-                let link_energy =
-                    gang_cost.energy_mj - costs.iter().map(|c| c.energy_mj).sum::<f64>();
-                (gang_cost.latency_ms, costs[0].energy_mj + link_energy)
-            }
-        };
+        let plan = info.plan(self.strategy);
+        let gang_cost = plan.combine(&self.costs, batch);
+        self.collective_ms += plan.collective_ms(batch);
+        self.collective_bytes += plan.collective_bytes(batch);
+        // The link energy is booked on the leader along with its shard; the
+        // whole gang is occupied for the combined latency (lockstep).
+        let link_energy = gang_cost.energy_mj - self.costs.iter().map(|c| c.energy_mj).sum::<f64>();
+        let latency_ms = gang_cost.latency_ms;
+        let leader_energy_mj = self.costs[0].energy_mj + link_energy;
         self.members[0].finish_iteration_into(latency_ms, leader_energy_mj, phase, done);
         let now = self.members[0].now_ms;
         for (member, c) in self.members[1..].iter_mut().zip(&self.costs[1..]) {

@@ -26,11 +26,9 @@ use std::sync::Arc;
 
 use exion_model::config::{IterationPhase, ModelConfig, ModelKind};
 use exion_sim::config::HwConfig;
-use exion_sim::partition::{Interconnect, PartitionPlan};
+use exion_sim::partition::{Interconnect, PartitionPlan, PartitionStrategy};
 use exion_sim::perf::IterationCost;
-use exion_sim::residency::{
-    latent_state_bytes, model_weight_bytes, EvictionPolicy, GscCache, GscObject,
-};
+use exion_sim::residency::{latent_state_bytes, EvictionPolicy, GscCache, GscObject};
 
 use crate::cost::CostModel;
 use crate::metrics::InstanceStats;
@@ -45,25 +43,40 @@ pub struct ModelInfo {
     pub config: ModelConfig,
     /// FFN-Reuse scheduling period under the active ablation.
     pub period: usize,
-    /// DRAM weight working set of one iteration (bytes) — the GSC
-    /// residency footprint.
-    pub weight_bytes: u64,
     /// Parked denoising-latent state per request (bytes).
     pub latent_bytes: u64,
-    /// Mean warm per-iteration latency at batch 1 (ms): the fastest rate
-    /// the instance could possibly serve one request at — the feasibility
-    /// currency of the preemption thrash guard (optimistic by design, so
-    /// the guard only blocks requests that cannot make their deadline even
-    /// with dedicated service).
+    /// Mean warm per-iteration latency at batch 1 (ms), the minimum over
+    /// [`Self::plans`]: the fastest rate any unit could possibly serve one
+    /// request at — the feasibility currency of the preemption thrash
+    /// guard (optimistic by design, so the guard only blocks requests that
+    /// cannot make their deadline even with dedicated service).
     pub warm_step_ms: f64,
     /// Mean warm per-iteration latency at the deployment's full batch
     /// size (ms): the steady-state service currency admission control
     /// projects completion times with (SLOs scale the same full-batch
     /// generation time, so the two stay consistent).
     pub batched_step_ms: f64,
-    /// How this model is cut across a gang (`None` when the cluster runs
-    /// whole-model replicas only).
-    pub partition: Option<PartitionPlan>,
+    /// The model's cut for each unit type the context serves: the
+    /// [`PartitionStrategy::Replicated`] plan (a replica is its one-member
+    /// unit) first and always, then the gang plan when the placement
+    /// deploys gangs. Each member's GSC footprint and step price come from
+    /// its unit's plan ([`Self::plan`]).
+    pub plans: Vec<PartitionPlan>,
+}
+
+impl ModelInfo {
+    /// The plan units of `strategy` run this model under.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the context carries no `strategy` plan: gang plans exist
+    /// only when the context was built with them.
+    pub fn plan(&self, strategy: PartitionStrategy) -> &PartitionPlan {
+        self.plans
+            .iter()
+            .find(|p| p.strategy() == strategy)
+            .unwrap_or_else(|| panic!("no {} plan in the scheduling context", strategy.label()))
+    }
 }
 
 /// Everything an [`Instance`] needs to make scheduling decisions: the
@@ -95,10 +108,11 @@ impl SchedContext {
     /// Builds the context for `kinds`, pricing refills against `cost`'s
     /// hardware and intra-gang transfers against `interconnect`.
     /// `config_of` supplies each kind's model configuration (shrunk
-    /// configs in tests, the real zoo in production runs); `plan_of`
-    /// supplies each kind's gang partition plan (`None` for a replica-only
-    /// cluster — the cluster passes its memoized plans so the pipeline op
-    /// walks run once per simulator).
+    /// configs in tests, the real zoo in production runs), from which the
+    /// `Replicated` plan is built; `plan_of` supplies each kind's gang
+    /// partition plan (`None` for a replica-only cluster — the cluster
+    /// passes its memoized plans so the pipeline op walks run once per
+    /// simulator).
     pub fn build(
         policy: Arc<dyn SchedulerPolicy>,
         max_batch: usize,
@@ -113,17 +127,26 @@ impl SchedContext {
             .iter()
             .map(|&k| {
                 let config = config_of(k);
-                let weight_bytes = model_weight_bytes(&config, operand_bytes);
-                let partition = plan_of(k);
+                // A replica drives no link, so its plan is cut over the
+                // default fabric: its collective terms are zero on any
+                // valid link, and link fields nothing validates on a
+                // replica-only placement never reach a replica's step.
+                let replicated = PartitionPlan::new(
+                    &config,
+                    PartitionStrategy::Replicated,
+                    Interconnect::default(),
+                    operand_bytes,
+                );
+                let plans: Vec<PartitionPlan> =
+                    std::iter::once(replicated).chain(plan_of(k)).collect();
                 let iters = config.iterations.max(1) as f64;
                 // The fastest rate any unit in this placement could serve
                 // one request at: a TP gang's combined step undercuts the
                 // replica step, so a mixed cluster takes the minimum.
-                let mut warm_step_ms = cost.generation_latency_ms(&config, 1) / iters;
-                if let Some(plan) = &partition {
-                    let gang_ms = cost.generation_cost(&config, plan, 1, 1.0).latency_ms;
-                    warm_step_ms = warm_step_ms.min(gang_ms / iters);
-                }
+                let warm_step_ms = plans
+                    .iter()
+                    .map(|p| cost.generation_cost(&config, p, 1, 1.0).latency_ms / iters)
+                    .fold(f64::INFINITY, f64::min);
                 let batched_step_ms =
                     cost.generation_latency_ms(&config, max_batch.max(1) as u64) / iters;
                 (
@@ -131,11 +154,10 @@ impl SchedContext {
                     ModelInfo {
                         config,
                         period: cost.period(&config),
-                        weight_bytes,
                         latent_bytes: latent_state_bytes(&config, operand_bytes),
                         warm_step_ms,
                         batched_step_ms,
-                        partition,
+                        plans,
                     },
                 )
             })
@@ -201,14 +223,6 @@ impl SchedContext {
     }
 }
 
-/// The gang partition plan of `info`'s model — present whenever the unit
-/// asking has more than one member.
-pub(crate) fn plan_of(info: &ModelInfo) -> &PartitionPlan {
-    info.partition
-        .as_ref()
-        .expect("sharded units exist only when the context carries plans")
-}
-
 /// What one admission pass did: requests admitted into the batch and
 /// requests parked (preempted) back into the queue, each stamped with the
 /// boundary time. The cluster uses both for queue-depth accounting.
@@ -243,7 +257,12 @@ impl AdmitOutcome {
     }
 }
 
-/// One accelerator instance's scheduler state.
+/// One accelerator instance's scheduler state: one member of a
+/// scheduling unit, holding shard `shard` of the unit's
+/// [`PartitionStrategy`] plan of every model it serves. A replica holds
+/// shard 0 of the [`PartitionStrategy::Replicated`] plan — the whole
+/// model — so every member keys, sizes and prices its weights the same
+/// way.
 #[derive(Debug, Clone)]
 pub struct Instance {
     /// Instance index within the cluster.
@@ -259,10 +278,12 @@ pub struct Instance {
     unit_first: usize,
     /// Member count of the unit (1 for replicas).
     unit_len: usize,
-    /// The partition shard this instance holds when it is a sharded-gang
-    /// member (`None` for whole-model replicas); selects which
-    /// [`GscObject`] keys its weight residency.
-    shard: Option<u8>,
+    /// How the unit cuts its models: selects the plan in
+    /// [`ModelInfo::plans`] this member's footprint and price come from.
+    strategy: PartitionStrategy,
+    /// The plan shard this instance holds (0 on a replica); keys its
+    /// weight residency as a [`GscObject::WeightShard`].
+    shard: u8,
     /// Byte-accounted GSC residency of weight shards and parked latents.
     gsc: GscCache,
     busy_ms: f64,
@@ -282,7 +303,8 @@ pub struct Instance {
 }
 
 impl Instance {
-    /// A fresh idle instance backed by `hw`'s GSC under `eviction`.
+    /// A fresh idle replica — shard 0 of the `Replicated` plan — backed by
+    /// `hw`'s GSC under `eviction`.
     pub fn new(id: usize, hw: &HwConfig, eviction: EvictionPolicy) -> Self {
         Self {
             id,
@@ -291,7 +313,8 @@ impl Instance {
             running: Vec::new(),
             unit_first: id,
             unit_len: 1,
-            shard: None,
+            strategy: PartitionStrategy::Replicated,
+            shard: 0,
             gsc: GscCache::new(hw.gsc_bytes() as u64, eviction),
             busy_ms: 0.0,
             energy_mj: 0.0,
@@ -307,11 +330,18 @@ impl Instance {
         }
     }
 
-    /// A fresh gang-member instance holding partition shard `shard` of
-    /// every model it serves.
-    pub fn new_shard(id: usize, hw: &HwConfig, eviction: EvictionPolicy, shard: u8) -> Self {
+    /// A fresh unit-member instance holding shard `shard` of its unit's
+    /// `strategy` plan of every model it serves.
+    pub fn new_shard(
+        id: usize,
+        hw: &HwConfig,
+        eviction: EvictionPolicy,
+        strategy: PartitionStrategy,
+        shard: u8,
+    ) -> Self {
         Self {
-            shard: Some(shard),
+            strategy,
+            shard,
             ..Self::new(id, hw, eviction)
         }
     }
@@ -345,28 +375,24 @@ impl Instance {
         }
     }
 
-    /// The GSC key of the weights this instance holds for `kind`: the
-    /// whole model for replicas, this member's shard for gang members.
+    /// The GSC key of the weights this instance holds for `kind`: its
+    /// shard of the unit's plan (shard 0, the whole model, on a replica).
     pub fn weight_obj(&self, kind: ModelKind) -> GscObject {
-        match self.shard {
-            None => GscObject::Weights(kind),
-            Some(s) => GscObject::WeightShard {
-                model: kind,
-                shard: s,
-            },
+        GscObject::WeightShard {
+            model: kind,
+            shard: self.shard,
         }
     }
 
-    /// The weight working-set bytes this instance is responsible for.
+    /// The weight working-set bytes this instance is responsible for: its
+    /// shard's footprint in the unit's plan.
     fn weight_footprint(&self, info: &ModelInfo) -> u64 {
-        match self.shard {
-            None => info.weight_bytes,
-            Some(s) => plan_of(info).shard_weight_bytes(s as usize),
-        }
+        info.plan(self.strategy)
+            .shard_weight_bytes(self.shard as usize)
     }
 
-    /// Resident fraction of `kind`'s weight working set (whole model or
-    /// this member's shard) in this instance's GSC.
+    /// Resident fraction of this member's share of `kind`'s weight working
+    /// set in this instance's GSC.
     pub fn weight_residency(&self, kind: ModelKind) -> f64 {
         self.gsc.resident_fraction(self.weight_obj(kind))
     }
@@ -1246,11 +1272,11 @@ impl Instance {
     }
 
     /// This member's part of one iteration of its unit's running batch
-    /// (`batch` rows of `info`'s model in `phase`): touches its weight
-    /// entry — the whole model on a replica, its shard on a gang member —
-    /// refilling it toward full residency and pricing eviction fallout,
-    /// then prices its compute at the fraction found resident. The unit
-    /// books the cost ([`Self::finish_iteration_into`] on the leader,
+    /// (`batch` rows of `info`'s model in `phase`): touches its shard's
+    /// weight entry, refilling it toward full residency and pricing
+    /// eviction fallout, then prices its shard's compute on the unit's
+    /// plan at the fraction found resident. The unit books the cost
+    /// ([`Self::finish_iteration_into`] on the leader,
     /// [`Self::advance_lockstep`] on followers).
     pub(crate) fn price_step(
         &mut self,
@@ -1260,7 +1286,9 @@ impl Instance {
         batch: u64,
         phase: IterationPhase,
     ) -> IterationCost {
-        let full_bytes = self.weight_footprint(info);
+        let plan = info.plan(self.strategy);
+        let shard = self.shard as usize;
+        let full_bytes = plan.shard_weight_bytes(shard);
         let obj = self.weight_obj(info.config.kind);
         let out = self
             .gsc
@@ -1272,13 +1300,8 @@ impl Instance {
             self.weight_refill_iterations += 1;
         }
         let warm = out.prior_fraction(full_bytes);
-        match self.shard {
-            None => cost.iteration(&info.config, batch, phase, warm),
-            Some(s) => {
-                cost.iteration_shard(&info.config, plan_of(info), s as usize, batch, phase, warm)
-            }
-        }
-        .expect("non-empty batch and in-range step")
+        cost.iteration_shard(&info.config, plan, shard, batch, phase, warm)
+            .expect("non-empty batch and in-range step")
     }
 
     /// Advances this instance past one externally priced iteration of the

@@ -92,8 +92,19 @@ impl TrafficPattern {
 
     /// A copy scaled so the time-averaged rate becomes `rps` — the knob an
     /// arrival-rate sweep turns without changing the traffic shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics when this pattern's [`Self::mean_rps`] is zero or not
+    /// finite: no scale turns it into `rps`, and dividing by it would hand
+    /// back NaN or infinite rates.
     pub fn with_mean_rps(&self, rps: f64) -> Self {
-        let scale = rps / self.mean_rps();
+        let mean = self.mean_rps();
+        assert!(
+            mean.is_finite() && mean != 0.0,
+            "cannot scale a traffic pattern of mean {mean} rps to {rps} rps"
+        );
+        let scale = rps / mean;
         match *self {
             TrafficPattern::Poisson { rate_rps } => TrafficPattern::Poisson {
                 rate_rps: rate_rps * scale,
@@ -234,8 +245,10 @@ impl TraceConfig {
     /// weights `>= 0` of positive sum and finite SLO multipliers `> 0`.
     /// Otherwise a NaN or infinite horizon yields arrivals without end, a
     /// negative or NaN rate silently yields none, and an empty mix panics
-    /// at the first draw. [`crate::ServeSimulator::run`] checks this before
-    /// it draws any arrival.
+    /// at the first draw. [`ArrivalStream::new`] — the one place arrivals
+    /// are drawn from, and so the first step of
+    /// [`crate::ServeSimulator::run`] — makes this check and panics on
+    /// failure.
     pub fn validate(&self) -> Result<(), ConfigError> {
         let non_negative = |v: f64| v.is_finite() && v >= 0.0;
         let positive = |v: f64| v.is_finite() && v > 0.0;
@@ -334,7 +347,15 @@ pub struct ArrivalStream {
 
 impl ArrivalStream {
     /// Opens the stream of `config`'s arrivals.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the [`ConfigError`] message when `config` fails
+    /// [`TraceConfig::validate`].
     pub fn new(config: &TraceConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid serving trace: {e}");
+        }
         let mut rng = StdRng::seed_from_u64(config.seed);
         let state = match config.pattern {
             TrafficPattern::Poisson { rate_rps } => {
@@ -597,6 +618,21 @@ mod tests {
                 pattern.name()
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot scale a traffic pattern of mean 0 rps to 5 rps")]
+    fn scaling_a_zero_mean_pattern_panics() {
+        let _ = TrafficPattern::Poisson { rate_rps: 0.0 }.with_mean_rps(5.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid serving trace: trace horizon_ms is NaN")]
+    fn opening_a_stream_with_a_nan_horizon_panics() {
+        let _ = ArrivalStream::new(&TraceConfig {
+            horizon_ms: f64::NAN,
+            ..poisson_config(1)
+        });
     }
 
     #[test]

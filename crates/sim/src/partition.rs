@@ -570,6 +570,26 @@ mod tests {
         let (_, rep) = plan_for(ModelKind::Dit, PartitionStrategy::Replicated);
         assert_eq!(rep.collective_bytes(8), 0);
         assert_eq!(rep.collective_ms(8), 0.0);
+        // A replica books its one shard through `combine`: the fold must
+        // hand that shard's cost back bit for bit.
+        let bits = |c: IterationCost| [c.latency_ms, c.energy_mj, c.dense_ops].map(f64::to_bits);
+        for batch in [1, 8] {
+            assert_eq!(rep.collective_energy_mj(batch).to_bits(), 0.0f64.to_bits());
+            for c in [
+                IterationCost {
+                    latency_ms: 0.1 + 0.2,
+                    energy_mj: 1.0 / 3.0,
+                    dense_ops: 7.5e9,
+                },
+                IterationCost {
+                    latency_ms: 38.273_397_100_840_79,
+                    energy_mj: 217.357_837_211_334_34,
+                    dense_ops: 1.25,
+                },
+            ] {
+                assert_eq!(bits(rep.combine(&[c], batch)), bits(c), "batch {batch}");
+            }
+        }
     }
 
     #[test]

@@ -36,14 +36,11 @@ pub fn partial_residency(capacity_bytes: f64, working_set_bytes: f64) -> f64 {
 /// Identity of one cacheable object in the GSC.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum GscObject {
-    /// The whole weight working set of one model (keyed by the serving
-    /// layer's model identifier — [`exion_model::config::ModelKind`] as
-    /// `u8` rank would lose type safety, so the kind itself is the key).
-    Weights(exion_model::config::ModelKind),
-    /// One partition shard of a model's weights: the residency unit of a
-    /// tensor/pipeline-parallel gang member, whose footprint and refill
-    /// cost come from [`crate::partition::PartitionPlan`] — each member
-    /// instance caches *its* shard independently.
+    /// One partition shard of a model's weights: the residency unit of
+    /// every serving instance, whose footprint and refill cost come from
+    /// its unit's [`crate::partition::PartitionPlan`]. Each gang member
+    /// caches *its* shard independently; a whole-model replica holds shard
+    /// 0 of the [`crate::partition::PartitionStrategy::Replicated`] plan.
     WeightShard {
         /// The sharded model.
         model: exion_model::config::ModelKind,
@@ -58,16 +55,6 @@ impl GscObject {
     /// Whether this entry is a parked request latent.
     pub fn is_latent(&self) -> bool {
         matches!(self, GscObject::Latent(_))
-    }
-
-    /// Whether this entry holds model weights (whole or one shard) of
-    /// `kind`.
-    pub fn is_weights_of(&self, kind: exion_model::config::ModelKind) -> bool {
-        match *self {
-            GscObject::Weights(k) => k == kind,
-            GscObject::WeightShard { model, .. } => model == kind,
-            GscObject::Latent(_) => false,
-        }
     }
 }
 
@@ -437,7 +424,10 @@ mod tests {
     #[test]
     fn request_grows_entry_to_full_residency() {
         let mut gsc = GscCache::new(10 * MIB, EvictionPolicy::Lru);
-        let w = GscObject::Weights(ModelKind::Mld);
+        let w = GscObject::WeightShard {
+            model: ModelKind::Mld,
+            shard: 0,
+        };
         let first = gsc.request(w, 4 * MIB, 1.0, false);
         assert_eq!(first.prior_bytes, 0);
         assert_eq!(first.resident_bytes, 4 * MIB);
@@ -452,7 +442,10 @@ mod tests {
     #[test]
     fn oversized_object_stays_partially_resident() {
         let mut gsc = GscCache::new(10 * MIB, EvictionPolicy::Lru);
-        let w = GscObject::Weights(ModelKind::StableDiffusion);
+        let w = GscObject::WeightShard {
+            model: ModelKind::StableDiffusion,
+            shard: 0,
+        };
         let out = gsc.request(w, 25 * MIB, 5.0, false);
         assert_eq!(out.resident_bytes, 10 * MIB);
         assert!((gsc.resident_fraction(w) - 0.4).abs() < 1e-12);
@@ -466,9 +459,18 @@ mod tests {
     #[test]
     fn lru_shrinks_least_recently_used_weights() {
         let mut gsc = GscCache::new(10 * MIB, EvictionPolicy::Lru);
-        let a = GscObject::Weights(ModelKind::Mld);
-        let b = GscObject::Weights(ModelKind::Mdm);
-        let c = GscObject::Weights(ModelKind::Edge);
+        let a = GscObject::WeightShard {
+            model: ModelKind::Mld,
+            shard: 0,
+        };
+        let b = GscObject::WeightShard {
+            model: ModelKind::Mdm,
+            shard: 0,
+        };
+        let c = GscObject::WeightShard {
+            model: ModelKind::Edge,
+            shard: 0,
+        };
         gsc.request(a, 4 * MIB, 1.0, false);
         gsc.request(b, 4 * MIB, 1.0, false);
         gsc.request(a, 4 * MIB, 1.0, false); // refresh a
@@ -485,8 +487,14 @@ mod tests {
     #[test]
     fn cost_aware_keeps_the_expensive_tenant() {
         let mut gsc = GscCache::new(10 * MIB, EvictionPolicy::CostAware);
-        let cheap = GscObject::Weights(ModelKind::Mld);
-        let dear = GscObject::Weights(ModelKind::StableDiffusion);
+        let cheap = GscObject::WeightShard {
+            model: ModelKind::Mld,
+            shard: 0,
+        };
+        let dear = GscObject::WeightShard {
+            model: ModelKind::StableDiffusion,
+            shard: 0,
+        };
         gsc.request(dear, 6 * MIB, 9.0, false);
         gsc.request(cheap, 3 * MIB, 0.2, false);
         // `cheap` is more recent, but cost-aware eviction sacrifices it.
@@ -502,7 +510,15 @@ mod tests {
         gsc.request(parked, 4 * MIB, 0.1, false);
         // Needing only 2 MiB still pushes the whole latent out — parked
         // denoising state is indivisible.
-        let out = gsc.request(GscObject::Weights(ModelKind::Mld), 8 * MIB, 1.0, false);
+        let out = gsc.request(
+            GscObject::WeightShard {
+                model: ModelKind::Mld,
+                shard: 0,
+            },
+            8 * MIB,
+            1.0,
+            false,
+        );
         assert_eq!(out.evicted, vec![(parked, 4 * MIB)]);
         assert_eq!(gsc.resident_bytes(parked), 0);
     }
@@ -510,12 +526,23 @@ mod tests {
     #[test]
     fn pinned_entries_survive_pressure() {
         let mut gsc = GscCache::new(10 * MIB, EvictionPolicy::Lru);
-        let active = GscObject::Weights(ModelKind::Mld);
+        let active = GscObject::WeightShard {
+            model: ModelKind::Mld,
+            shard: 0,
+        };
         let parked = GscObject::Latent(3);
         gsc.request(active, 6 * MIB, 1.0, true);
         gsc.request(parked, 3 * MIB, 0.1, false);
         // An 8 MiB demand can only reclaim the unpinned latent.
-        let out = gsc.request(GscObject::Weights(ModelKind::Mdm), 8 * MIB, 2.0, false);
+        let out = gsc.request(
+            GscObject::WeightShard {
+                model: ModelKind::Mdm,
+                shard: 0,
+            },
+            8 * MIB,
+            2.0,
+            false,
+        );
         assert_eq!(out.evicted, vec![(parked, 3 * MIB)]);
         assert_eq!(out.resident_bytes, 4 * MIB); // truncated by the pin
         assert_eq!(gsc.resident_fraction(active), 1.0);
@@ -526,12 +553,34 @@ mod tests {
     fn park_headroom_excludes_pins_and_latents() {
         let mut gsc = GscCache::new(10 * MIB, EvictionPolicy::Lru);
         assert_eq!(gsc.park_headroom_bytes(), 10 * MIB);
-        gsc.request(GscObject::Weights(ModelKind::Mld), 3 * MIB, 1.0, true);
-        gsc.request(GscObject::Weights(ModelKind::Mdm), 2 * MIB, 1.0, false);
+        gsc.request(
+            GscObject::WeightShard {
+                model: ModelKind::Mld,
+                shard: 0,
+            },
+            3 * MIB,
+            1.0,
+            true,
+        );
+        gsc.request(
+            GscObject::WeightShard {
+                model: ModelKind::Mdm,
+                shard: 0,
+            },
+            2 * MIB,
+            1.0,
+            false,
+        );
         gsc.request(GscObject::Latent(1), MIB, 0.1, false);
         // Unpinned weights are displaceable, pins and latents are not.
         assert_eq!(gsc.park_headroom_bytes(), 6 * MIB);
-        gsc.set_pinned(GscObject::Weights(ModelKind::Mld), false);
+        gsc.set_pinned(
+            GscObject::WeightShard {
+                model: ModelKind::Mld,
+                shard: 0,
+            },
+            false,
+        );
         assert_eq!(gsc.park_headroom_bytes(), 9 * MIB);
     }
 
@@ -539,21 +588,46 @@ mod tests {
     fn evictable_bytes_excludes_pins() {
         let mut gsc = GscCache::new(10 * MIB, EvictionPolicy::Lru);
         assert_eq!(gsc.evictable_bytes(), 10 * MIB);
-        gsc.request(GscObject::Weights(ModelKind::Mld), 6 * MIB, 1.0, true);
+        gsc.request(
+            GscObject::WeightShard {
+                model: ModelKind::Mld,
+                shard: 0,
+            },
+            6 * MIB,
+            1.0,
+            true,
+        );
         gsc.request(GscObject::Latent(1), 2 * MIB, 0.1, false);
         // Only the pinned weights are off limits; the latent is reclaimable.
         assert_eq!(gsc.evictable_bytes(), 4 * MIB);
-        gsc.set_pinned(GscObject::Weights(ModelKind::Mld), false);
+        gsc.set_pinned(
+            GscObject::WeightShard {
+                model: ModelKind::Mld,
+                shard: 0,
+            },
+            false,
+        );
         assert_eq!(gsc.evictable_bytes(), 10 * MIB);
     }
 
     #[test]
     fn unpinning_releases_the_entry() {
         let mut gsc = GscCache::new(8 * MIB, EvictionPolicy::Lru);
-        let w = GscObject::Weights(ModelKind::Mld);
+        let w = GscObject::WeightShard {
+            model: ModelKind::Mld,
+            shard: 0,
+        };
         gsc.request(w, 6 * MIB, 1.0, true);
         gsc.set_pinned(w, false);
-        let out = gsc.request(GscObject::Weights(ModelKind::Mdm), 8 * MIB, 1.0, false);
+        let out = gsc.request(
+            GscObject::WeightShard {
+                model: ModelKind::Mdm,
+                shard: 0,
+            },
+            8 * MIB,
+            1.0,
+            false,
+        );
         assert_eq!(out.evicted, vec![(w, 6 * MIB)]);
         assert_eq!(out.resident_bytes, 8 * MIB);
     }

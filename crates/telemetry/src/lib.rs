@@ -1,5 +1,5 @@
 //! Observability primitives for the EXION serving simulator — spans,
-//! timelines, histograms, metric registries, and self-metering timers.
+//! timelines, histograms, and self-metering timers.
 //!
 //! The crate is deliberately dependency-free (std only): its hooks sit in
 //! the cluster hot loop, and the workspace builds offline. Everything here
@@ -18,23 +18,22 @@
 //! - [`LogHistogram`]: a streaming, log-bucketed (HDR-style) histogram
 //!   with a fixed bucket count — O(1) memory percentiles with a bounded
 //!   relative error, replacing sort-everything percentile paths.
-//! - [`Registry`]: an insertion-ordered counter/gauge registry whose
-//!   snapshots feed report time-series.
 //! - [`StopWatch`]: a wall-clock accumulator for self-metering (simulated
 //!   ms per wall ms).
+//!
+//! Report counter/gauge time-series need no registry here: the serving
+//! crate snapshots the running totals its cluster loop already keeps.
 
 pub mod chrome;
 pub mod hist;
 pub mod json;
 pub mod profile;
-pub mod registry;
 pub mod sink;
 pub mod span;
 
 pub use chrome::chrome_trace_json;
 pub use hist::LogHistogram;
 pub use profile::StopWatch;
-pub use registry::Registry;
 pub use sink::{
     CounterSample, InstantMarker, MemorySink, NullSink, Sink, SliceKind, TimelineSlice,
 };

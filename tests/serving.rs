@@ -267,7 +267,10 @@ proptest! {
             let mut gsc = GscCache::new(capacity_mib * MIB, policy);
             for _ in 0..ops {
                 let obj = if rng.next().is_multiple_of(2) {
-                    GscObject::Weights(ModelKind::ALL[(rng.next() % 7) as usize])
+                    GscObject::WeightShard {
+                        model: ModelKind::ALL[(rng.next() % 7) as usize],
+                        shard: 0,
+                    }
                 } else {
                     GscObject::Latent(rng.next() % 12)
                 };
