@@ -7,9 +7,11 @@
 //! (EXION24) instances, plus an admission-policy comparison near
 //! saturation. The headline shape is the saturation knee: tail latency and
 //! queue depth explode once offered load crosses the instance's continuous-
-//! batching capacity, while goodput collapses.
+//! batching capacity, while goodput collapses. This is the one place the
+//! serving experiments are defined and printed; `examples/serving_sim.rs`
+//! only prints one representative scenario's latency attribution.
 //!
-//! Four control-plane sections extend it:
+//! These sections extend it:
 //!
 //! * **Preemption** — non-preemptive vs preemptive EDF under the bursty
 //!   MMPP trace: per-tenant-class p95, preemption counts, and GSC residency
@@ -21,12 +23,17 @@
 //! * **Autoscaling frontier** — at a fixed arrival rate, the minimum
 //!   instance count whose p95 SLO attainment reaches the target, per
 //!   traffic pattern;
+//! * **Sharding** — two replicas vs one TP=2 gang vs one PP=2 gang on the
+//!   text-to-video mix, whose VideoCrafter2 working set exceeds one GSC;
 //! * **Placement planner** — auto-placement vs every hand-picked static
 //!   placement on the text-to-video mix: the planner's offline pick
 //!   matches the best static placement's goodput on both sides of the
 //!   replicated-vs-TP crossover, and a diurnal ramp exercises the online
 //!   re-planner (priced migration when realized load diverges from the
 //!   forecast);
+//! * **Fault injection** — the same trace with a mid-horizon crash on and
+//!   off: replicas degrade gracefully where a TP gang stalls whole, and
+//!   the attribution plane lands the lost latency in fault-stall;
 //! * **Measured profiles** — `exion-bench::profiles` functional
 //!   measurements wired through `CostModel` in place of the analytic
 //!   closed form.
@@ -117,8 +124,9 @@ pub fn compute(horizon_cap_ms: Option<f64>) -> Vec<Sweep> {
     sweeps
 }
 
-/// Compares every registered scheduling policy at 90% Poisson load on
-/// `hw`: `(policy name, report)` pairs in registry order.
+/// Compares every built-in scheduling policy at 90% Poisson load on
+/// `hw`: `(policy name, report)` pairs in [`policy::BUILTIN_POLICY_NAMES`]
+/// order.
 pub fn compare_policies(hw: &HwConfig, horizon_cap_ms: Option<f64>) -> Vec<(String, ServeReport)> {
     let horizon_ms = horizon_cap_ms.unwrap_or(4_000.0).max(100.0);
     let mix = WorkloadMix::multi_tenant();
@@ -229,15 +237,13 @@ pub fn admission_comparison(hw: &HwConfig, horizon_cap_ms: Option<f64>) -> Vec<A
     let horizon_ms = horizon_cap_ms.unwrap_or(4_000.0).max(100.0);
     let mix = WorkloadMix::text_to_motion();
     let capacity = ServeSimulator::new(ServeConfig::new(*hw)).capacity_estimate_rps(&mix);
-    admission::AdmissionRegistry::builtin()
-        .all()
-        .into_iter()
-        .map(|controller| {
-            let label = controller.name().to_string();
+    admission::BUILTIN_ADMISSION_NAMES
+        .iter()
+        .map(|&label| {
             let mut sim = ServeSimulator::new(
                 ServeConfig::builder(*hw)
                     .policy_name("edf")
-                    .admission_arc(controller)
+                    .admission_name(label)
                     .build(),
             );
             let points = ADMISSION_LOAD_FRACTIONS
@@ -247,7 +253,10 @@ pub fn admission_comparison(hw: &HwConfig, horizon_cap_ms: Option<f64>) -> Vec<A
                     report: sim.run(&bursty_trace_over(capacity, frac, horizon_ms, mix.clone())),
                 })
                 .collect();
-            AdmissionSweep { label, points }
+            AdmissionSweep {
+                label: label.to_string(),
+                points,
+            }
         })
         .collect()
 }
@@ -770,7 +779,24 @@ pub fn standard_scenarios(horizon_ms: f64) -> Vec<(&'static str, ServeConfig, Tr
     ]
 }
 
+/// Passes `r` through after asserting the extended conservation law
+/// `completed + shed + lost == arrivals`: every report [`run`] prints
+/// accounts for each released arrival.
+fn conserved(r: &ServeReport) -> &ServeReport {
+    assert_eq!(
+        r.completed + r.shed_requests + r.lost_requests,
+        r.arrivals,
+        "conservation: every released arrival must be served, shed, or lost"
+    );
+    r
+}
+
 /// Runs the full experiment.
+///
+/// # Panics
+///
+/// Panics if a printed report breaks `completed + shed + lost ==
+/// arrivals`.
 pub fn run() -> String {
     let mut out = String::from(
         "serve_sweep — request-level serving over EXION instances\n\
@@ -785,7 +811,7 @@ pub fn run() -> String {
             .points
             .iter()
             .map(|p| {
-                let r = &p.report;
+                let r = conserved(&p.report);
                 vec![
                     format!("{:.0}%", 100.0 * p.load_frac),
                     format!("{:.1}", r.offered_rps),
@@ -812,6 +838,7 @@ pub fn run() -> String {
     let rows: Vec<Vec<String>> = compare_policies(&HwConfig::exion24(), None)
         .iter()
         .map(|(policy, r)| {
+            let r = conserved(r);
             vec![
                 policy.clone(),
                 format!("{:.2}", r.latency.p99),
@@ -833,6 +860,7 @@ pub fn run() -> String {
     let rows: Vec<Vec<String>> = compare_preemption(&HwConfig::exion24(), None)
         .iter()
         .map(|(policy, r)| {
+            let r = conserved(r);
             vec![
                 policy.clone(),
                 format!("{:.1}", r.class_latency(ModelKind::Mld).p95),
@@ -871,7 +899,7 @@ pub fn run() -> String {
         .iter()
         .flat_map(|sweep| {
             sweep.points.iter().map(|p| {
-                let r = &p.report;
+                let r = conserved(&p.report);
                 vec![
                     sweep.label.clone(),
                     format!("{:.0}%", 100.0 * p.load_frac),
@@ -949,7 +977,7 @@ pub fn run() -> String {
         .iter()
         .flat_map(|sweep| {
             sweep.points.iter().map(|p| {
-                let r = &p.report;
+                let r = conserved(&p.report);
                 vec![
                     sweep.label.clone(),
                     format!("{:.0}%", 100.0 * p.load_frac),
@@ -1003,7 +1031,7 @@ pub fn run() -> String {
             points
                 .iter()
                 .map(move |p| {
-                    let r = &p.report;
+                    let r = conserved(&p.report);
                     vec![
                         label.clone(),
                         format!("{:.0}%", 100.0 * p.load_frac),
@@ -1035,7 +1063,7 @@ pub fn run() -> String {
             pr.replan_count(),
             pr.migration_bytes() as f64 / 1e6,
             100.0 * pr.mean_forecast_error(),
-            planner.diurnal.goodput_rps,
+            conserved(&planner.diurnal).goodput_rps,
         ));
     }
 
@@ -1061,6 +1089,7 @@ pub fn run() -> String {
             ]
             .into_iter()
             .map(|(label, fault, r, lost, under)| {
+                let r = conserved(r);
                 vec![
                     label,
                     fault,
@@ -1138,6 +1167,7 @@ pub fn run() -> String {
     let rows: Vec<Vec<String>> = [("analytic", &analytic), ("measured", &measured)]
         .iter()
         .map(|(name, r)| {
+            let r = conserved(r);
             vec![
                 name.to_string(),
                 format!("{:.2}", r.latency.p50),

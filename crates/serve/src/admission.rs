@@ -13,9 +13,9 @@
 //! With [`DeadlineFeasibility`] installed, goodput *saturates* at the
 //! knee instead of collapsing past it.
 //!
-//! Controllers are registered by name (see [`AdmissionRegistry`]), so
-//! configs stay serde-able as controller names — `"admit-all"` and
-//! `"deadline"` ship built in.
+//! `"admit-all"` and `"deadline"` ship built in, resolved from their
+//! names by [`by_name`]; a custom controller plugs in as a plain type
+//! ([`crate::ServeConfigBuilder::admission`]).
 
 use std::fmt;
 use std::sync::Arc;
@@ -297,57 +297,14 @@ impl AdmissionController for DeadlineFeasibility {
 /// The built-in admission-controller names, in presentation order.
 pub const BUILTIN_ADMISSION_NAMES: [&str; 2] = ["admit-all", "deadline"];
 
-/// A name-keyed registry of admission controllers — the serde-able
-/// configuration surface (configs and env switches carry controller
-/// *names*) and the extension point for custom controllers. Registration
-/// order is iteration order, and re-registering a name replaces the entry
-/// in place (the semantics live in the crate-private `NamedRegistry`,
-/// shared with the policy registry).
-#[derive(Debug, Clone, Default)]
-pub struct AdmissionRegistry {
-    inner: crate::registry::NamedRegistry<dyn AdmissionController>,
-}
-
-impl AdmissionRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// The registry holding the built-in controllers.
-    pub fn builtin() -> Self {
-        let mut reg = Self::empty();
-        reg.register(Arc::new(AdmitAll));
-        reg.register(Arc::new(DeadlineFeasibility::default()));
-        reg
-    }
-
-    /// Registers `controller` under its own [`AdmissionController::name`],
-    /// replacing any previous entry of that name.
-    pub fn register(&mut self, controller: Arc<dyn AdmissionController>) {
-        self.inner
-            .register(controller.name().to_string(), controller);
-    }
-
-    /// Resolves `name` to its controller.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn AdmissionController>> {
-        self.inner.get(name)
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.inner.names()
-    }
-
-    /// Every registered controller, in registration order.
-    pub fn all(&self) -> Vec<Arc<dyn AdmissionController>> {
-        self.inner.all()
-    }
-}
-
-/// Resolves `name` against the built-in registry.
+/// Resolves a built-in controller name (one of
+/// [`BUILTIN_ADMISSION_NAMES`]).
 pub fn by_name(name: &str) -> Option<Arc<dyn AdmissionController>> {
-    AdmissionRegistry::builtin().get(name)
+    match name {
+        "admit-all" => Some(Arc::new(AdmitAll)),
+        "deadline" => Some(Arc::new(DeadlineFeasibility::default())),
+        _ => None,
+    }
 }
 
 #[cfg(test)]
@@ -452,10 +409,7 @@ mod tests {
 
     #[test]
     fn registry_resolves_builtin_names() {
-        let reg = AdmissionRegistry::builtin();
-        assert_eq!(reg.names(), BUILTIN_ADMISSION_NAMES.to_vec());
         for name in BUILTIN_ADMISSION_NAMES {
-            assert_eq!(reg.get(name).expect("builtin").name(), name);
             assert_eq!(by_name(name).expect("builtin").name(), name);
         }
         assert!(by_name("no-such-controller").is_none());

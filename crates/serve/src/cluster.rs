@@ -90,10 +90,14 @@ pub enum ConfigError {
         /// The maximum supported degree.
         max: usize,
     },
-    /// The gang interconnect cannot move bytes.
+    /// An interconnect field is NaN, infinite or out of range:
+    /// `link_gbps` must be positive, `latency_us` and `pj_per_bit`
+    /// non-negative.
     InvalidInterconnect {
-        /// The declared link bandwidth (GB/s).
-        link_gbps: f64,
+        /// The offending field.
+        field: &'static str,
+        /// Its declared value.
+        value: f64,
     },
     /// The auto-placement planner's knobs are unusable.
     InvalidPlanner {
@@ -138,10 +142,12 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "gang degree {degree} exceeds the supported maximum of {max} members"
             ),
-            ConfigError::InvalidInterconnect { link_gbps } => write!(
-                f,
-                "gang interconnect bandwidth must be finite and positive, got {link_gbps} GB/s"
-            ),
+            ConfigError::InvalidInterconnect { field, value } => {
+                write!(
+                    f,
+                    "interconnect {field} is NaN, infinite or out of range: {value}"
+                )
+            }
             ConfigError::InvalidPlanner { reason } => {
                 write!(f, "auto-placement planner misconfigured: {reason}")
             }
@@ -242,7 +248,7 @@ impl ServeConfig {
 
 /// Builder for [`ServeConfig`] — the one construction path for every
 /// non-default cluster (ad-hoc field mutation is gone; policies and
-/// admission controllers plug in as trait objects or registry names).
+/// admission controllers plug in as trait objects or built-in names).
 ///
 /// ```
 /// use exion_serve::{DeadlineFeasibility, Placement, ServeConfig};
@@ -285,12 +291,11 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Resolves `name` against the built-in policy registry
-    /// ([`policy::by_name`]) — the serde-able configuration path.
+    /// Installs the built-in policy `name` ([`policy::by_name`]).
     ///
     /// # Panics
     ///
-    /// Panics on an unknown name, listing the registered ones.
+    /// Panics on an unknown name, listing the built-in ones.
     pub fn policy_name(self, name: &str) -> Self {
         let policy = policy::by_name(name).unwrap_or_else(|| {
             panic!(
@@ -312,12 +317,12 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Resolves `name` against the built-in admission registry
+    /// Installs the built-in admission controller `name`
     /// ([`admission::by_name`]).
     ///
     /// # Panics
     ///
-    /// Panics on an unknown name, listing the registered ones.
+    /// Panics on an unknown name, listing the built-in ones.
     pub fn admission_name(self, name: &str) -> Self {
         let controller = admission::by_name(name).unwrap_or_else(|| {
             panic!(
@@ -399,15 +404,17 @@ impl ServeConfigBuilder {
     ///
     /// Returns a [`ConfigError`] describing the first invalid setting —
     /// an empty placement, gangs under a single-member strategy, a gang
-    /// wider than instance indexing supports, a zero-bandwidth
-    /// interconnect, or unusable planner knobs — instead of letting the
-    /// cluster loop panic mid-run.
+    /// wider than instance indexing supports, an interconnect field that
+    /// is NaN, infinite or out of range (on the placement or the
+    /// planner's fabric), or unusable planner knobs — instead of letting
+    /// the cluster loop panic or price NaN mid-run.
     pub fn try_build(mut self) -> Result<ServeConfig, ConfigError> {
         let placement = self.inner.placement;
         if placement.units() == 0 {
             return Err(ConfigError::EmptyPlacement);
         }
         validate_gangs(&placement)?;
+        validate_link(&placement.interconnect)?;
         if let Some(interval_ms) = self.inner.stats_interval_ms {
             if !interval_ms.is_finite() || interval_ms <= 0.0 {
                 return Err(ConfigError::InvalidStatsInterval { interval_ms });
@@ -480,7 +487,7 @@ impl ServeConfigBuilder {
 }
 
 /// Validates the gang half of a placement: real multi-member strategies
-/// within indexing bounds, over an interconnect that can move bytes.
+/// within indexing bounds.
 fn validate_gangs(placement: &Placement) -> Result<(), ConfigError> {
     if placement.gangs == 0 {
         return Ok(());
@@ -497,18 +504,25 @@ fn validate_gangs(placement: &Placement) -> Result<(), ConfigError> {
             max: MAX_GANG_DEGREE,
         });
     }
-    validate_link(&placement.interconnect)
+    Ok(())
 }
 
-/// Accepts only a finite, positive link bandwidth: a NaN fails every
-/// comparison, so a `<= 0.0` test alone would let it through to price
-/// collectives at the bandwidth floor.
-fn validate_link(interconnect: &Interconnect) -> Result<(), ConfigError> {
-    let link_gbps = interconnect.link_gbps;
-    if link_gbps.is_finite() && link_gbps > 0.0 {
-        Ok(())
-    } else {
-        Err(ConfigError::InvalidInterconnect { link_gbps })
+/// Accepts only a finite, positive link bandwidth and a finite,
+/// non-negative launch latency and transfer energy: any other value
+/// prices collectives, their energy and capacity estimates as NaN or
+/// infinity.
+fn validate_link(link: &Interconnect) -> Result<(), ConfigError> {
+    let fields = [
+        ("link_gbps", link.link_gbps, link.link_gbps > 0.0),
+        ("latency_us", link.latency_us, link.latency_us >= 0.0),
+        ("pj_per_bit", link.pj_per_bit, link.pj_per_bit >= 0.0),
+    ];
+    match fields
+        .into_iter()
+        .find(|&(_, value, in_range)| !(value.is_finite() && in_range))
+    {
+        Some((field, value, _)) => Err(ConfigError::InvalidInterconnect { field, value }),
+        None => Ok(()),
     }
 }
 
@@ -2363,47 +2377,52 @@ mod tests {
             ))
             .try_build();
         assert!(matches!(oversized, Err(ConfigError::OversizedGang { .. })));
-        // A link that cannot move bytes.
-        let dead_link = exion_sim::partition::Interconnect {
-            link_gbps: 0.0,
-            ..Default::default()
+        // A link that cannot move bytes, or any NaN or infinite link
+        // field, on every placement (replicas included) and on the
+        // planner's fabric. NaN fails every comparison, so it must not
+        // slip past as "not non-positive".
+        let link = |edit: fn(&mut Interconnect)| {
+            let mut link = Interconnect::default();
+            edit(&mut link);
+            link
         };
-        let invalid = ServeConfig::builder(hw)
-            .placement(
-                Placement::sharded(1, PartitionStrategy::Tensor { ways: 2 })
-                    .with_interconnect(dead_link),
-            )
-            .try_build();
-        assert!(matches!(
-            invalid,
-            Err(ConfigError::InvalidInterconnect { .. })
-        ));
-        // A NaN link fails every comparison; it must not slip past as
-        // "not non-positive", neither on a static placement nor on the
-        // planner's fabric.
-        let nan_link = exion_sim::partition::Interconnect {
-            link_gbps: f64::NAN,
-            ..Default::default()
-        };
-        let nan_static = ServeConfig::builder(hw)
-            .placement(
-                Placement::sharded(1, PartitionStrategy::Tensor { ways: 2 })
-                    .with_interconnect(nan_link),
-            )
-            .try_build();
-        match nan_static {
-            Err(ConfigError::InvalidInterconnect { link_gbps }) => assert!(link_gbps.is_nan()),
-            other => panic!("NaN static link accepted: {other:?}"),
-        }
+        let tp2 = Placement::sharded(1, PartitionStrategy::Tensor { ways: 2 });
         let mut nan_planner = PlannerConfig::new(2);
-        nan_planner.interconnect = nan_link;
+        nan_planner.interconnect = link(|l| l.link_gbps = f64::NAN);
+        for (field, placement) in [
+            (
+                "link_gbps",
+                tp2.with_interconnect(link(|l| l.link_gbps = 0.0)),
+            ),
+            (
+                "link_gbps",
+                tp2.with_interconnect(link(|l| l.link_gbps = f64::NAN)),
+            ),
+            (
+                "latency_us",
+                Placement::replicated(2).with_interconnect(link(|l| l.latency_us = f64::NAN)),
+            ),
+            (
+                "pj_per_bit",
+                tp2.with_interconnect(link(|l| l.pj_per_bit = f64::INFINITY)),
+            ),
+        ] {
+            let built = ServeConfig::builder(hw).placement(placement).try_build();
+            assert!(
+                matches!(built, Err(ConfigError::InvalidInterconnect { field: f, .. }) if f == field),
+                "bad {field} accepted: {built:?}"
+            );
+        }
         let nan_planned = ServeConfig::builder(hw)
             .auto_placement(PlacementPlanner::new(nan_planner), 100.0)
             .try_build();
-        match nan_planned {
-            Err(ConfigError::InvalidInterconnect { link_gbps }) => assert!(link_gbps.is_nan()),
-            other => panic!("NaN planner link accepted: {other:?}"),
-        }
+        assert!(matches!(
+            nan_planned,
+            Err(ConfigError::InvalidInterconnect {
+                field: "link_gbps",
+                ..
+            })
+        ));
         // Planner with an unusable forecast.
         let bad_forecast = ServeConfig::builder(hw)
             .auto_placement(PlacementPlanner::new(PlannerConfig::new(2)), 0.0)
@@ -2422,7 +2441,10 @@ mod tests {
                 degree: 200,
                 max: MAX_GANG_DEGREE,
             },
-            ConfigError::InvalidInterconnect { link_gbps: 0.0 },
+            ConfigError::InvalidInterconnect {
+                field: "link_gbps",
+                value: 0.0,
+            },
             ConfigError::InvalidPlanner {
                 reason: "x".to_string(),
             },

@@ -21,12 +21,9 @@
 //!   window: every collective and migration transfer in the window pays
 //!   the slowdown, and the window closes on its own.
 //!
-//! Plans come from three places: hand-built ([`FaultPlan::crash`] etc.),
-//! seed-derived ([`FaultPlan::seeded`] draws MTBF-exponential crash
-//! times from the same generator family as the arrival streams), or the
-//! environment ([`FaultPlan::from_env_spec`] parses the
-//! `EXION_SERVE_FAULTS` knob). Named presets mirror the policy/admission
-//! registries via [`by_name`].
+//! Plans are hand-built ([`FaultPlan::crash`] etc.) or seed-derived
+//! ([`FaultPlan::seeded`] draws MTBF-exponential crash times from the same
+//! generator family as the arrival streams).
 //!
 //! An empty plan is the default and is free: it schedules nothing,
 //! draws no randomness, and leaves every fixed-seed golden byte-identical.
@@ -189,79 +186,6 @@ impl FaultPlan {
         plan
     }
 
-    /// Parses the `EXION_SERVE_FAULTS` environment spec: a
-    /// comma-separated `key=value` list.
-    ///
-    /// Keys: `crashes=<n>` (number of seeded crashes, default 1),
-    /// `seed=<u64>` (default 7), `mtbf_ms=<f64>` (mean time between
-    /// failures, default `horizon_ms / (crashes + 1)`),
-    /// `repair_ms=<f64>` (default `horizon_ms / 4`), `unit=<usize>` +
-    /// `at_ms=<f64>` (a directed crash instead of seeded ones),
-    /// `member=<usize>` (turn the directed crash into a member loss),
-    /// `degrade=<f64>` + `degrade_ms=<f64>` (append a mid-horizon link
-    /// degradation window with that slowdown). A bare preset name (see
-    /// [`by_name`]) is also accepted.
-    pub fn from_env_spec(spec: &str, horizon_ms: f64) -> Result<FaultPlan, String> {
-        let spec = spec.trim();
-        if spec.is_empty() {
-            return Ok(FaultPlan::empty());
-        }
-        if !spec.contains('=') {
-            return by_name(spec, horizon_ms).ok_or_else(|| {
-                format!("unknown fault preset {spec:?}; built-ins: {BUILTIN_FAULT_PLAN_NAMES:?}")
-            });
-        }
-        let mut crashes: usize = 1;
-        let mut seed: u64 = 7;
-        let mut mtbf_ms: Option<f64> = None;
-        let mut repair_ms: f64 = horizon_ms / 4.0;
-        let mut unit: Option<usize> = None;
-        let mut member: Option<usize> = None;
-        let mut at_ms: Option<f64> = None;
-        let mut degrade: Option<f64> = None;
-        let mut degrade_ms: Option<f64> = None;
-        for pair in spec.split(',') {
-            let pair = pair.trim();
-            if pair.is_empty() {
-                continue;
-            }
-            let (key, value) = pair
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec entry {pair:?} is not key=value"))?;
-            let bad = |k: &str| format!("fault spec {k}={value:?} is not a number");
-            match key.trim() {
-                "crashes" => crashes = value.parse().map_err(|_| bad("crashes"))?,
-                "seed" => seed = value.parse().map_err(|_| bad("seed"))?,
-                "mtbf_ms" => mtbf_ms = Some(value.parse().map_err(|_| bad("mtbf_ms"))?),
-                "repair_ms" => repair_ms = value.parse().map_err(|_| bad("repair_ms"))?,
-                "unit" => unit = Some(value.parse().map_err(|_| bad("unit"))?),
-                "member" => member = Some(value.parse().map_err(|_| bad("member"))?),
-                "at_ms" => at_ms = Some(value.parse().map_err(|_| bad("at_ms"))?),
-                "degrade" => degrade = Some(value.parse().map_err(|_| bad("degrade"))?),
-                "degrade_ms" => degrade_ms = Some(value.parse().map_err(|_| bad("degrade_ms"))?),
-                other => return Err(format!("unknown fault spec key {other:?}")),
-            }
-        }
-        let mut plan = if let Some(u) = unit {
-            let at = at_ms.unwrap_or(horizon_ms / 2.0);
-            match member {
-                Some(m) => FaultPlan::empty().member_loss(at, u, m, repair_ms),
-                None => FaultPlan::empty().crash(at, u, repair_ms),
-            }
-        } else if crashes > 0 {
-            let mtbf = mtbf_ms.unwrap_or(horizon_ms / (crashes as f64 + 1.0));
-            FaultPlan::seeded(seed, horizon_ms, mtbf, repair_ms, crashes)
-        } else {
-            FaultPlan::empty()
-        };
-        if let Some(s) = degrade {
-            let dur = degrade_ms.unwrap_or(horizon_ms / 4.0);
-            plan = plan.link_degrade(horizon_ms / 2.0, s, dur);
-        }
-        plan.validate()?;
-        Ok(plan)
-    }
-
     /// Checks the plan is well-formed: finite non-negative times, finite
     /// positive repair delays, slowdowns > 1, positive durations.
     pub fn validate(&self) -> Result<(), String> {
@@ -302,28 +226,6 @@ impl FaultPlan {
     }
 }
 
-/// Built-in preset names accepted by [`by_name`] (and therefore by the
-/// `EXION_SERVE_FAULTS` knob).
-pub const BUILTIN_FAULT_PLAN_NAMES: [&str; 3] = ["midpoint-crash", "member-loss", "ring-degrade"];
-
-/// Looks up a named fault-plan preset, scaled to `horizon_ms`:
-///
-/// - `"midpoint-crash"` — unit 0 crashes at the midpoint, repairs after a
-///   quarter horizon.
-/// - `"member-loss"` — unit 0 loses member 1 at the midpoint, repairs
-///   after a quarter horizon.
-/// - `"ring-degrade"` — the interconnect runs at quarter bandwidth for
-///   the middle half of the horizon.
-pub fn by_name(name: &str, horizon_ms: f64) -> Option<FaultPlan> {
-    let h = horizon_ms;
-    match name {
-        "midpoint-crash" => Some(FaultPlan::empty().crash(h / 2.0, 0, h / 4.0)),
-        "member-loss" => Some(FaultPlan::empty().member_loss(h / 2.0, 0, 1, h / 4.0)),
-        "ring-degrade" => Some(FaultPlan::empty().link_degrade(h / 4.0, 4.0, h / 2.0)),
-        _ => None,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -347,37 +249,6 @@ mod tests {
         }
         let c = FaultPlan::seeded(12, 4_000.0, 800.0, 500.0, 4);
         assert_ne!(a, c, "different seeds should move the crash times");
-    }
-
-    #[test]
-    fn env_spec_round_trips() {
-        let seeded = FaultPlan::from_env_spec("crashes=2,seed=5,repair_ms=300", 2_000.0).unwrap();
-        assert!(seeded.events.len() <= 2);
-        let directed = FaultPlan::from_env_spec("unit=1,at_ms=600,repair_ms=300", 2_000.0).unwrap();
-        assert_eq!(
-            directed.events,
-            vec![FaultSpec {
-                at_ms: 600.0,
-                kind: FaultKind::UnitCrash {
-                    unit: 1,
-                    repair_ms: 300.0
-                }
-            }]
-        );
-        let member = FaultPlan::from_env_spec("unit=0,member=1,at_ms=600", 2_000.0).unwrap();
-        assert!(matches!(
-            member.events[0].kind,
-            FaultKind::MemberLoss {
-                unit: 0,
-                member: 1,
-                ..
-            }
-        ));
-        let preset = FaultPlan::from_env_spec("midpoint-crash", 2_000.0).unwrap();
-        assert_eq!(preset, by_name("midpoint-crash", 2_000.0).unwrap());
-        assert!(FaultPlan::from_env_spec("bogus", 2_000.0).is_err());
-        assert!(FaultPlan::from_env_spec("crashes=abc", 2_000.0).is_err());
-        assert!(FaultPlan::from_env_spec("", 2_000.0).unwrap().is_empty());
     }
 
     #[test]

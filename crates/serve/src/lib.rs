@@ -54,7 +54,7 @@
 //!   batch-join gating, and preemption against a read-only
 //!   [`SchedSnapshot`]; FCFS, SLO-aware EDF, *preemptive* EDF, and the
 //!   sparsity-aware phase-aligning policy ship as named implementations
-//!   behind a [`PolicyRegistry`];
+//!   ([`policy::by_name`]);
 //! * [`cost`] — memoized per-iteration pricing through
 //!   [`exion_sim::simulate_iteration`]: each iteration is priced by the
 //!   *fraction* of the model's weight working set GSC-resident (partial
@@ -115,7 +115,6 @@ pub mod placement;
 pub mod planner;
 pub mod policy;
 pub mod queue;
-mod registry;
 pub mod request;
 pub mod scheduler;
 pub mod trace;
@@ -125,8 +124,7 @@ pub mod trace;
 pub use exion_telemetry as telemetry;
 
 pub use admission::{
-    AdmissionController, AdmissionDecision, AdmissionRegistry, AdmissionView, AdmitAll,
-    DeadlineFeasibility,
+    AdmissionController, AdmissionDecision, AdmissionView, AdmitAll, DeadlineFeasibility,
 };
 pub use attribution::{
     attribution_json, AttributionReport, MissCause, MissRecord, ModelAttribution, Phase,
@@ -150,8 +148,7 @@ pub use metrics::{
 pub use placement::{Gang, Placement};
 pub use planner::{gsc_feasible, CandidateScore, PlacementPlanner, PlanOutcome, PlannerConfig};
 pub use policy::{
-    Edf, Fcfs, PolicyKey, PolicyRegistry, PreemptiveEdf, SchedSnapshot, SchedulerPolicy,
-    SparsityAware,
+    Edf, Fcfs, PolicyKey, PreemptiveEdf, SchedSnapshot, SchedulerPolicy, SparsityAware,
 };
 pub use queue::{BacklogIndex, ReadyQueue};
 pub use request::{Completion, LostRecord, Request, RequestId, ShedRecord};

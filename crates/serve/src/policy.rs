@@ -9,10 +9,10 @@
 //! to a queued request* ([`SchedulerPolicy::preempt_for`] /
 //! [`SchedulerPolicy::swap_for`]) — against a read-only [`SchedSnapshot`]
 //! of the unit's state. The four historical policies (FCFS, EDF,
-//! preemptive EDF, sparsity-aware) are ordinary implementations behind a
-//! name [`PolicyRegistry`], so configs stay serde-able as policy *names*
-//! while downstream crates plug in their own implementations without
-//! touching the scheduler.
+//! preemptive EDF, sparsity-aware) are ordinary implementations that
+//! [`by_name`] resolves from their names, and downstream crates plug in
+//! their own implementations as plain types
+//! ([`crate::ServeConfigBuilder::policy`]) without touching the scheduler.
 
 use std::fmt;
 use std::sync::Arc;
@@ -244,64 +244,23 @@ impl SchedulerPolicy for SparsityAware {
 /// The built-in policy names, in presentation order (sweeps iterate this).
 pub const BUILTIN_POLICY_NAMES: [&str; 4] = ["fcfs", "edf", "preemptive-edf", "sparsity-aware"];
 
-/// A name-keyed registry of scheduling policies: the serde-able
-/// configuration surface (configs carry policy *names*, the registry
-/// resolves them to implementations) and the extension point downstream
-/// crates register custom policies into. Registration order is iteration
-/// order, and re-registering a name replaces the entry in place (the
-/// semantics live in the crate-private `NamedRegistry`, shared with the
-/// admission registry).
-#[derive(Debug, Clone, Default)]
-pub struct PolicyRegistry {
-    inner: crate::registry::NamedRegistry<dyn SchedulerPolicy>,
-}
-
-impl PolicyRegistry {
-    /// An empty registry.
-    pub fn empty() -> Self {
-        Self::default()
-    }
-
-    /// The registry holding the four built-in policies.
-    pub fn builtin() -> Self {
-        let mut reg = Self::empty();
-        reg.register(Arc::new(Fcfs));
-        reg.register(Arc::new(Edf));
-        reg.register(Arc::new(PreemptiveEdf));
-        reg.register(Arc::new(SparsityAware));
-        reg
-    }
-
-    /// Registers `policy` under its own [`SchedulerPolicy::name`],
-    /// replacing any previous entry of that name.
-    pub fn register(&mut self, policy: Arc<dyn SchedulerPolicy>) {
-        self.inner.register(policy.name().to_string(), policy);
-    }
-
-    /// Resolves `name` to its policy.
-    pub fn get(&self, name: &str) -> Option<Arc<dyn SchedulerPolicy>> {
-        self.inner.get(name)
-    }
-
-    /// Registered names, in registration order.
-    pub fn names(&self) -> Vec<&str> {
-        self.inner.names()
-    }
-
-    /// Every registered policy, in registration order.
-    pub fn all(&self) -> Vec<Arc<dyn SchedulerPolicy>> {
-        self.inner.all()
-    }
-}
-
-/// Resolves `name` against the built-in registry.
+/// Resolves a built-in policy name (one of [`BUILTIN_POLICY_NAMES`]).
 pub fn by_name(name: &str) -> Option<Arc<dyn SchedulerPolicy>> {
-    PolicyRegistry::builtin().get(name)
+    match name {
+        "fcfs" => Some(Arc::new(Fcfs)),
+        "edf" => Some(Arc::new(Edf)),
+        "preemptive-edf" => Some(Arc::new(PreemptiveEdf)),
+        "sparsity-aware" => Some(Arc::new(SparsityAware)),
+        _ => None,
+    }
 }
 
 /// The four built-in policies, in presentation order.
 pub fn builtin_policies() -> Vec<Arc<dyn SchedulerPolicy>> {
-    PolicyRegistry::builtin().all()
+    BUILTIN_POLICY_NAMES
+        .iter()
+        .map(|name| by_name(name).expect("every built-in name resolves"))
+        .collect()
 }
 
 #[cfg(test)]
@@ -361,35 +320,14 @@ mod tests {
 
     #[test]
     fn registry_resolves_builtin_names() {
-        let reg = PolicyRegistry::builtin();
-        assert_eq!(reg.names(), BUILTIN_POLICY_NAMES.to_vec());
+        let names: Vec<String> = builtin_policies()
+            .iter()
+            .map(|p| p.name().to_string())
+            .collect();
+        assert_eq!(names, BUILTIN_POLICY_NAMES);
         for name in BUILTIN_POLICY_NAMES {
-            assert_eq!(reg.get(name).expect("builtin").name(), name);
             assert_eq!(by_name(name).expect("builtin").name(), name);
         }
         assert!(by_name("no-such-policy").is_none());
-    }
-
-    #[test]
-    fn registry_replaces_same_name_and_keeps_order() {
-        #[derive(Debug)]
-        struct CustomFcfs;
-        impl SchedulerPolicy for CustomFcfs {
-            fn name(&self) -> &str {
-                "fcfs"
-            }
-            fn ordering_key(&self, r: &Request) -> PolicyKey {
-                (-r.arrival_ms, r.id)
-            }
-        }
-        let mut reg = PolicyRegistry::builtin();
-        reg.register(Arc::new(CustomFcfs));
-        assert_eq!(reg.names(), BUILTIN_POLICY_NAMES.to_vec(), "order kept");
-        let r = Request::new(3, ModelKind::Mld, 7.0, 100.0, 50);
-        let s = snap(&[], 0);
-        assert_eq!(
-            reg.get("fcfs").expect("replaced").admission_key(&r, &s),
-            (-7.0, 3)
-        );
     }
 }

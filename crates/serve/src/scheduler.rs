@@ -129,8 +129,7 @@ impl SchedContext {
                 let config = config_of(k);
                 // A replica drives no link, so its plan is cut over the
                 // default fabric: its collective terms are zero on any
-                // valid link, and link fields nothing validates on a
-                // replica-only placement never reach a replica's step.
+                // valid link.
                 let replicated = PartitionPlan::new(
                     &config,
                     PartitionStrategy::Replicated,

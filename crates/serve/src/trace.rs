@@ -72,9 +72,9 @@ impl TrafficPattern {
     }
 
     /// The canonical three-shape suite (Poisson, bursty MMPP, diurnal) at
-    /// unit mean rate, for sweeps that scale with [`Self::with_mean_rps`].
-    /// Shared by `examples/serving_sim.rs` and the `serve_sweep`
-    /// experiment so the two drivers cannot diverge.
+    /// unit mean rate, for sweeps that scale with [`Self::with_mean_rps`]
+    /// (the `serve_sweep` experiment's load sweeps and autoscaling
+    /// frontier).
     pub fn standard_suite() -> [TrafficPattern; 3] {
         [
             TrafficPattern::Poisson { rate_rps: 1.0 },

@@ -7,8 +7,9 @@
 //! around a mid-horizon crash and recover attainment afterwards.
 
 use exion::serve::{
-    FaultPlan, MemorySink, PartitionStrategy, Placement, PlacementPlanner, PlannerConfig,
-    ServeConfig, ServeReport, ServeSimulator, TraceConfig, TrafficPattern, WorkloadMix,
+    FaultPlan, MemorySink, MissCause, PartitionStrategy, Phase, Placement, PlacementPlanner,
+    PlannerConfig, ServeConfig, ServeReport, ServeSimulator, TraceConfig, TrafficPattern,
+    WorkloadMix,
 };
 use exion::sim::config::HwConfig;
 use exion_bench::experiments::serve_sweep::{chaos_comparison, standard_scenarios};
@@ -132,54 +133,104 @@ fn empty_fault_plan_keeps_every_golden_byte_identical() {
 
 #[test]
 fn midpoint_crash_conserves_recovers_and_reports() {
-    let hw = HwConfig::exion4();
-    let mix = WorkloadMix::text_to_video();
-    let capacity = ServeSimulator::new(ServeConfig::builder(hw).instances(2).build())
-        .capacity_estimate_rps(&mix);
-    let trace = TraceConfig {
-        pattern: TrafficPattern::Poisson {
-            rate_rps: 0.7 * capacity,
-        },
-        horizon_ms: 1_500.0,
-        seed: 0xC4A5,
-        mix,
-    };
-    let config = ServeConfig::builder(hw)
-        .placement(Placement::replicated(2))
-        .fault_plan(FaultPlan::empty().crash(750.0, 0, 400.0))
-        .build();
-    let report = ServeSimulator::new(config).run(&trace);
-    assert_conservation(&report, "midpoint crash");
-    let fault = report.fault.as_ref().expect("faulted run carries a report");
-    assert_eq!(fault.faults_injected, 1, "the crash must land on live hw");
-    assert_eq!(fault.faults_noop, 0);
-    assert_eq!(fault.records.len(), 1);
-    assert_eq!(fault.records[0].kind, "unit-crash");
-    assert_eq!(fault.records[0].lost, report.lost_requests);
-    assert_eq!(fault.lost_requests, report.lost_requests);
-    assert!(
-        (0.0..=1.0).contains(&fault.attainment_under_failure),
-        "in-window attainment {} out of range",
-        fault.attainment_under_failure
-    );
-    // The repaired unit rejoins: the recovery fires within the run (the
-    // cluster drains past the repair), and mean time-to-recover is at
-    // least the repair delay (the unit cannot rejoin before its in-flight
-    // iteration's clock, and never before `at + repair_ms`).
-    assert_eq!(fault.recoveries, 1, "the crashed unit must rejoin");
-    assert!(
-        fault.mean_time_to_recover_ms >= 400.0,
-        "recovered after {} ms, repair delay is 400 ms",
-        fault.mean_time_to_recover_ms
-    );
-    // Lost requests are priced as SLO misses: attainment counts them in
-    // the denominator.
-    let within = report.completions.iter().filter(|c| c.within_slo()).count();
-    let answered = report.completions.len() + report.sheds.len() + report.losts.len();
-    assert!(
-        (report.slo_attainment - within as f64 / answered as f64).abs() < 1e-9,
-        "lost requests must dilute SLO attainment"
-    );
+    const CRASH_AT_MS: f64 = 750.0;
+    // Text-to-video runs a few long generations; the multi-tenant mix runs
+    // many short ones, so its requests end on both sides of the crash and
+    // the fault-window checks below bite.
+    for (input, mix) in [
+        ("text-to-video", WorkloadMix::text_to_video()),
+        ("multi-tenant", WorkloadMix::multi_tenant()),
+    ] {
+        let hw = HwConfig::exion4();
+        let capacity = ServeSimulator::new(ServeConfig::builder(hw).instances(2).build())
+            .capacity_estimate_rps(&mix);
+        let trace = TraceConfig {
+            pattern: TrafficPattern::Poisson {
+                rate_rps: 0.7 * capacity,
+            },
+            horizon_ms: 1_500.0,
+            seed: 0xC4A5,
+            mix,
+        };
+        let config = ServeConfig::builder(hw)
+            .placement(Placement::replicated(2))
+            .fault_plan(FaultPlan::empty().crash(CRASH_AT_MS, 0, 400.0))
+            .build();
+        let report = ServeSimulator::new(config).run(&trace);
+        assert_conservation(&report, input);
+        let fault = report.fault.as_ref().expect("faulted run carries a report");
+        assert_eq!(
+            fault.faults_injected, 1,
+            "{input}: the crash must land on live hw"
+        );
+        assert_eq!(fault.faults_noop, 0, "{input}");
+        assert_eq!(fault.records.len(), 1, "{input}");
+        assert_eq!(fault.records[0].kind, "unit-crash", "{input}");
+        assert_eq!(fault.records[0].lost, report.lost_requests, "{input}");
+        assert_eq!(fault.lost_requests, report.lost_requests, "{input}");
+        assert!(
+            (0.0..=1.0).contains(&fault.attainment_under_failure),
+            "{input}: in-window attainment {} out of range",
+            fault.attainment_under_failure
+        );
+        // The repaired unit rejoins: the recovery fires within the run (the
+        // cluster drains past the repair), and mean time-to-recover is at
+        // least the repair delay (the unit cannot rejoin before its
+        // in-flight iteration's clock, and never before `at + repair_ms`).
+        assert_eq!(fault.recoveries, 1, "{input}: the crashed unit must rejoin");
+        assert!(
+            fault.mean_time_to_recover_ms >= 400.0,
+            "{input}: recovered after {} ms, repair delay is 400 ms",
+            fault.mean_time_to_recover_ms
+        );
+        // Lost requests are priced as SLO misses: attainment counts them
+        // in the denominator.
+        let within = report.completions.iter().filter(|c| c.within_slo()).count();
+        let answered = report.completions.len() + report.sheds.len() + report.losts.len();
+        assert!(
+            (report.slo_attainment - within as f64 / answered as f64).abs() < 1e-9,
+            "{input}: lost requests must dilute SLO attainment"
+        );
+        // No fault phase accrues on a request that ended before the crash.
+        let attribution = report.attribution.as_ref().expect("on by default");
+        let before: Vec<_> = attribution
+            .requests
+            .iter()
+            .filter(|r| r.end_ms < CRASH_AT_MS)
+            .collect();
+        for r in &before {
+            for phase in [Phase::FaultStall, Phase::DegradedWindow] {
+                assert_eq!(
+                    r.phases.get(phase),
+                    0.0,
+                    "{input}: request {} ended at {} ms, before the crash, with {} time",
+                    r.id,
+                    r.end_ms,
+                    phase.label()
+                );
+            }
+        }
+        // The crash shows up where the attribution plane puts it, on both
+        // inputs.
+        assert!(
+            attribution.totals.get(Phase::FaultStall) > 0.0,
+            "{input}: the crash left no fault-stall"
+        );
+        assert!(
+            attribution.miss_causes[MissCause::Fault.index()] > 0,
+            "{input}: no miss classifies as fault: {:?}",
+            attribution.miss_causes
+        );
+        // Text-to-video's few long generations all outlive the crash;
+        // the multi-tenant input must end some requests before it, or
+        // the window check above checks nothing.
+        if input == "multi-tenant" {
+            assert!(
+                !before.is_empty(),
+                "{input}: no request ended before the crash"
+            );
+        }
+    }
 }
 
 #[test]

@@ -16,8 +16,9 @@ use std::collections::HashSet;
 
 use exion::model::config::{ModelConfig, ModelKind};
 use exion::serve::{
-    gsc_feasible, policy, CostModel, Placement, PlacementPlanner, PlannerConfig, ServeConfig,
-    ServeReport, ServeSimulator, TraceConfig, TrafficPattern, WorkloadMix,
+    gsc_feasible, policy, CostModel, Placement, PlacementPlanner, PlannerConfig, PolicyKey,
+    Request, SchedulerPolicy, ServeConfig, ServeReport, ServeSimulator, TraceConfig,
+    TrafficPattern, WorkloadMix,
 };
 use exion::sim::config::HwConfig;
 use exion::sim::partition::{Interconnect, PartitionPlan, PartitionStrategy, Topology};
@@ -117,6 +118,46 @@ fn registry_and_struct_configs_are_equivalent() {
     )
     .run(&trace);
     assert_eq!(by_name, by_struct);
+}
+
+#[test]
+fn custom_policy_plugs_into_the_builder() {
+    // The README's custom-policy example at a shorter horizon: any
+    // `SchedulerPolicy` implementation drops into the builder as a plain
+    // type.
+    /// A custom policy: shortest-remaining-work-first.
+    #[derive(Debug)]
+    struct Srwf;
+
+    impl SchedulerPolicy for Srwf {
+        fn name(&self) -> &str {
+            "srwf"
+        }
+        // Stable while queued: a queued request's remaining steps never
+        // change, and a parked request is re-pushed with its new count.
+        fn ordering_key(&self, r: &Request) -> PolicyKey {
+            (r.steps_left() as f64, r.id)
+        }
+    }
+
+    let config = ServeConfig::builder(HwConfig::exion24())
+        .instances(2)
+        .policy(Srwf)
+        .admission_name("deadline")
+        .build();
+    let report = ServeSimulator::new(config).run(&TraceConfig {
+        pattern: TrafficPattern::Poisson { rate_rps: 120.0 },
+        horizon_ms: 1_000.0,
+        seed: 42,
+        mix: WorkloadMix::multi_tenant(),
+    });
+    assert_eq!(report.policy, "srwf");
+    assert!(report.arrivals > 0);
+    assert_eq!(
+        report.completed + report.shed_requests + report.lost_requests,
+        report.arrivals,
+        "every arrival is served, shed or lost"
+    );
 }
 
 #[test]
