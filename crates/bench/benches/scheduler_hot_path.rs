@@ -14,8 +14,7 @@ use std::sync::Arc;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exion_model::config::{ModelConfig, ModelKind};
 use exion_serve::{
-    policy, AdmitOutcome, CostModel, Gang, PartitionPlan, PartitionStrategy, ReadyQueue, Request,
-    SchedContext,
+    policy, AdmitOutcome, CostModel, Gang, PartitionStrategy, ReadyQueue, Request, SchedContext,
 };
 use exion_sim::config::HwConfig;
 use exion_sim::partition::Interconnect;
@@ -34,8 +33,7 @@ fn config(kind: ModelKind) -> ModelConfig {
 /// A context whose models are cut under `strategy`: the `Replicated` plan
 /// the context always carries, plus a gang plan for any other strategy.
 fn ctx_for(policy: Arc<dyn policy::SchedulerPolicy>, strategy: PartitionStrategy) -> SchedContext {
-    let hw = HwConfig::exion4();
-    let mut cost = CostModel::new(hw, SimAblation::All);
+    let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
     SchedContext::build(
         policy,
         8,
@@ -43,16 +41,7 @@ fn ctx_for(policy: Arc<dyn policy::SchedulerPolicy>, strategy: PartitionStrategy
         &mut cost,
         Interconnect::default(),
         config,
-        |k| {
-            (strategy != PartitionStrategy::Replicated).then(|| {
-                PartitionPlan::new(
-                    &config(k),
-                    strategy,
-                    Interconnect::default(),
-                    hw.operand_bytes(),
-                )
-            })
-        },
+        (strategy != PartitionStrategy::Replicated).then_some(strategy),
     )
 }
 

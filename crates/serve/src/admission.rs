@@ -330,7 +330,7 @@ mod tests {
             &mut cost,
             Interconnect::default(),
             tiny,
-            |_| None,
+            None,
         )
     }
 

@@ -173,7 +173,8 @@ impl std::error::Error for ConfigError {}
 
 /// Serving-cluster configuration. Assemble with [`ServeConfig::builder`];
 /// [`ServeConfig::new`] is the all-defaults shorthand (one replica, batch
-/// 8, all optimizations, FCFS, admit-all, LRU eviction).
+/// 8, FCFS, admit-all, LRU eviction). Every run prices iterations with all
+/// of EXION's optimizations active.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// The accelerator instance type.
@@ -182,8 +183,6 @@ pub struct ServeConfig {
     pub placement: Placement,
     /// Maximum batch rows per unit.
     pub max_batch: usize,
-    /// Which EXION optimizations are active.
-    pub ablation: SimAblation,
     /// Scheduling policy (admission ordering, batch-join gating,
     /// preemption decisions).
     pub policy: Arc<dyn SchedulerPolicy>,
@@ -219,8 +218,8 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// A builder over the defaults: one replica, batch 8, all
-    /// optimizations, FCFS scheduling, admit-all admission, LRU eviction.
+    /// A builder over the defaults: one replica, batch 8, FCFS
+    /// scheduling, admit-all admission, LRU eviction.
     pub fn builder(hw: HwConfig) -> ServeConfigBuilder {
         ServeConfigBuilder {
             inner: Self::new(hw),
@@ -233,7 +232,6 @@ impl ServeConfig {
             hw,
             placement: Placement::replicated(1),
             max_batch: 8,
-            ablation: SimAblation::All,
             policy: Arc::new(Fcfs),
             admission: Arc::new(AdmitAll),
             eviction: EvictionPolicy::Lru,
@@ -336,12 +334,6 @@ impl ServeConfigBuilder {
     /// Replaces the per-unit batch bound (at least 1).
     pub fn max_batch(mut self, max_batch: usize) -> Self {
         self.inner.max_batch = max_batch.max(1);
-        self
-    }
-
-    /// Replaces the ablation.
-    pub fn ablation(mut self, ablation: SimAblation) -> Self {
-        self.inner.ablation = ablation;
         self
     }
 
@@ -798,19 +790,18 @@ impl ArrivalReleaser {
 pub struct ServeSimulator {
     config: ServeConfig,
     cost: CostModel,
-    partition_plans: HashMap<(ModelKind, PartitionStrategy), exion_sim::partition::PartitionPlan>,
     last_profile: Option<RunProfile>,
 }
 
 impl ServeSimulator {
-    /// A simulator for `config`. Iteration costs are priced lazily and
-    /// cached across runs of the same simulator.
+    /// A simulator for `config`, with every EXION optimization active.
+    /// Iteration costs and partition plans are priced lazily and cached
+    /// across runs of the same simulator.
     pub fn new(config: ServeConfig) -> Self {
-        let cost = CostModel::new(config.hw, config.ablation);
+        let cost = CostModel::new(config.hw, SimAblation::All);
         Self {
             config,
             cost,
-            partition_plans: HashMap::new(),
             last_profile: None,
         }
     }
@@ -841,49 +832,11 @@ impl ServeSimulator {
         self.cost.set_profile(kind, profile)
     }
 
-    /// The partition plan of `kind` under `strategy` over `interconnect`,
-    /// built once per (model, strategy) per simulator (pipeline plans walk
-    /// per-stage op lists; auto-placement can visit several strategies
-    /// over one run). A cached plan is only reused when its interconnect
-    /// matches the requested one — a planner-chosen placement may carry a
-    /// different fabric than the static config that first priced the
-    /// strategy, and collectives must be priced on the right one.
-    fn partition_plan(
-        &mut self,
-        kind: ModelKind,
-        strategy: PartitionStrategy,
-        interconnect: Interconnect,
-    ) -> exion_sim::partition::PartitionPlan {
-        let key = (kind, strategy);
-        if let Some(plan) = self.partition_plans.get(&key) {
-            if plan.interconnect() == interconnect {
-                return plan.clone();
-            }
-        }
-        let plan = exion_sim::partition::PartitionPlan::new(
-            &ModelConfig::for_kind(kind),
-            strategy,
-            interconnect,
-            self.config.hw.operand_bytes(),
-        );
-        self.partition_plans.insert(key, plan.clone());
-        plan
-    }
-
     /// Builds the scheduling context for the traced `kinds` under
     /// `placement` (the static config's, or whatever the planner currently
-    /// has deployed), reusing the simulator's memoized partition plans.
+    /// has deployed), reading every plan from the cost model's memo.
     fn sched_context(&mut self, kinds: &[ModelKind], placement: &Placement) -> SchedContext {
-        let (strategy, link) = (placement.strategy, placement.interconnect);
-        let sharded = placement.gangs > 0 && strategy != PartitionStrategy::Replicated;
-        let plans: HashMap<ModelKind, exion_sim::partition::PartitionPlan> = if sharded {
-            kinds
-                .iter()
-                .map(|&k| (k, self.partition_plan(k, strategy, link)))
-                .collect()
-        } else {
-            HashMap::new()
-        };
+        let sharded = placement.gangs > 0 && placement.strategy != PartitionStrategy::Replicated;
         SchedContext::build(
             self.config.policy.clone(),
             self.config.max_batch,
@@ -891,7 +844,7 @@ impl ServeSimulator {
             &mut self.cost,
             placement.interconnect,
             ModelConfig::for_kind,
-            |k| plans.get(&k).cloned(),
+            sharded.then_some(placement.strategy),
         )
     }
 
@@ -914,7 +867,7 @@ impl ServeSimulator {
             let mut spr = 0.0;
             for &(kind, w, _) in &mix.entries {
                 let config = ModelConfig::for_kind(kind);
-                let plan = self.partition_plan(kind, strategy, placement.interconnect);
+                let plan = self.cost.plan(&config, strategy, placement.interconnect);
                 let gen_ms = self
                     .cost
                     .generation_cost(&config, &plan, batch, 1.0)

@@ -1,4 +1,5 @@
-//! Cached per-iteration cost lookups against the cycle-level simulator.
+//! Cached per-iteration cost lookups against the cycle-level simulator,
+//! and the one owner of every partition plan.
 //!
 //! The scheduler prices every (model, shard, batch size, FFN-Reuse phase,
 //! weight residency) combination it executes through
@@ -11,19 +12,25 @@
 //! memoization — not a warm/cold flag; partially resident tenants price a
 //! partial refill.
 //!
+//! [`CostModel::plan`] cuts each (model, strategy) once per cost model and
+//! serves every fabric from that cut, so the scheduling context, the
+//! capacity estimate and the placement planner read one plan per unit type
+//! (a replica's is cut over the default fabric; it drives no link).
 //! Whole generations are priced per unit, through the unit's
 //! [`PartitionPlan`]: [`CostModel::generation_cost`] sums the schedule of
 //! one unit whose members all sit at a given residency, with the
 //! uncontended collective of every step. A replica is the `Replicated`
 //! plan, so the placement planner and the capacity estimate price replicas
 //! and gangs with the same call. [`CostModel::generation_latency_ms`] is
-//! the warm whole-model generation that SLOs scale.
+//! the warm replica generation that SLOs scale.
 
 use std::collections::HashMap;
 
 use exion_model::config::{IterationPhase, ModelConfig, ModelKind};
 use exion_sim::config::HwConfig;
-use exion_sim::partition::{simulate_iteration_shard, PartitionPlan, PartitionStrategy};
+use exion_sim::partition::{
+    simulate_iteration_shard, Interconnect, PartitionPlan, PartitionStrategy,
+};
 use exion_sim::perf::{IterationCost, SimAblation, SimError};
 use exion_sim::workload::{ShardSpec, SparsityProfile};
 
@@ -70,6 +77,9 @@ pub struct CostModel {
     ablation: SimAblation,
     /// Iteration costs by `(model, batch, slot)` — see [`slot`].
     memo: HashMap<(ModelKind, u64, u32), IterationCost>,
+    /// Each model's cut per strategy, over the default fabric — see
+    /// [`Self::plan`].
+    plans: HashMap<(ModelKind, PartitionStrategy), PartitionPlan>,
     isolated: HashMap<ModelKind, f64>,
     /// Measured per-model profiles (e.g. `exion-bench::profiles`) override
     /// the analytic closed form when present.
@@ -83,6 +93,7 @@ impl CostModel {
             hw,
             ablation,
             memo: HashMap::new(),
+            plans: HashMap::new(),
             isolated: HashMap::new(),
             profiles: HashMap::new(),
         }
@@ -144,9 +155,37 @@ impl CostModel {
         }
     }
 
+    /// The cut of `model` under `strategy`, pricing its collectives over
+    /// `link`. Each (model, strategy) is cut once per cost model (a
+    /// pipeline cut walks the model's whole dense op list) and every
+    /// fabric — the placement's link, the planner's fabric, a degraded
+    /// window — is served from that cut. A replica drives no link, so its
+    /// plan stays on the default fabric whatever `link` is: its collective
+    /// terms are zero on any valid link.
+    pub fn plan(
+        &mut self,
+        model: &ModelConfig,
+        strategy: PartitionStrategy,
+        link: Interconnect,
+    ) -> PartitionPlan {
+        let operand_bytes = self.hw.operand_bytes();
+        let cut = self
+            .plans
+            .entry((model.kind, strategy))
+            .or_insert_with(|| {
+                PartitionPlan::new(model, strategy, Interconnect::default(), operand_bytes)
+            })
+            .clone();
+        match strategy {
+            PartitionStrategy::Replicated => cut,
+            _ => cut.with_interconnect(link),
+        }
+    }
+
     /// Cost of one denoising iteration of `model` at `batch` rows in
     /// `phase`, with `resident_frac` of the weight working set GSC-resident
-    /// (1.0 = steady-state warm, 0.0 = fully cold switch).
+    /// (1.0 = steady-state warm, 0.0 = fully cold switch): the full
+    /// [`ShardSpec`], priced as shard 0 of the `Replicated` plan.
     pub fn iteration(
         &mut self,
         model: &ModelConfig,
@@ -154,7 +193,9 @@ impl CostModel {
         phase: IterationPhase,
         resident_frac: f64,
     ) -> Result<IterationCost, SimError> {
-        self.price(model, None, 0, batch, phase, resident_frac)
+        let whole = ShardSpec::full(&model.paper);
+        let replica = PartitionStrategy::Replicated;
+        self.price(model, replica, 0, &whole, batch, phase, resident_frac)
     }
 
     /// Cost of one *shard's* share of a denoising iteration under `plan`,
@@ -175,16 +216,18 @@ impl CostModel {
         phase: IterationPhase,
         resident_frac: f64,
     ) -> Result<IterationCost, SimError> {
-        self.price(model, Some(plan), shard, batch, phase, resident_frac)
+        let (strategy, spec) = (plan.strategy(), plan.spec(shard));
+        self.price(model, strategy, shard, spec, batch, phase, resident_frac)
     }
 
-    /// The one memoized pricer: shard `shard` of `plan`, or the whole model
-    /// when `plan` is `None`.
+    /// The one memoized pricer: `spec`, shard `shard` of a `strategy` plan.
+    #[allow(clippy::too_many_arguments)]
     fn price(
         &mut self,
         model: &ModelConfig,
-        plan: Option<&PartitionPlan>,
+        strategy: PartitionStrategy,
         shard: usize,
+        spec: &ShardSpec,
         batch: u64,
         phase: IterationPhase,
         resident_frac: f64,
@@ -196,12 +239,10 @@ impl CostModel {
             IterationPhase::Dense
         };
         let frac_q = (resident_frac.clamp(0.0, 1.0) * RESIDENCY_QUANTA).round() as u32;
-        let strategy = plan.map_or(PartitionStrategy::Replicated, PartitionPlan::strategy);
         let key = (model.kind, batch, slot(strategy, shard, phase, frac_q));
         if let Some(&cost) = self.memo.get(&key) {
             return Ok(cost);
         }
-        let spec = plan.map_or_else(|| ShardSpec::full(&model.paper), |p| *p.spec(shard));
         // Step 0 is always dense; step 1 is sparse whenever FFN-Reuse is on
         // (every benchmark has sparse_iters ≥ 1).
         let step = match phase {
@@ -211,7 +252,7 @@ impl CostModel {
         let cost = simulate_iteration_shard(
             &self.hw,
             model,
-            &spec,
+            spec,
             &self.profile_for(model),
             self.ablation,
             batch,
@@ -222,21 +263,25 @@ impl CostModel {
         Ok(cost)
     }
 
-    /// Warm full-generation latency of `model` at `batch` rows: the sum of
-    /// per-iteration costs across the denoising schedule with weights
-    /// GSC-resident throughout — the whole-model currency SLOs scale.
+    /// Warm full-generation latency of `model` at `batch` rows: the
+    /// generation of one replica (the memoized `Replicated` plan) with
+    /// weights GSC-resident throughout — the currency SLOs scale.
     pub fn generation_latency_ms(&mut self, model: &ModelConfig, batch: u64) -> f64 {
-        self.generation_sum(model, None, batch, 1.0).latency_ms
+        let replica = self.plan(
+            model,
+            PartitionStrategy::Replicated,
+            Interconnect::default(),
+        );
+        self.generation_cost(model, &replica, batch, 1.0).latency_ms
     }
 
     /// Full-generation cost (latency, energy and dense ops summed over the
     /// denoising schedule) of one unit serving `model` under `plan` at
     /// `batch` rows, with every member holding `resident_frac` of its own
-    /// shard every iteration. Each step folds the shard costs through
-    /// [`PartitionPlan::combine`], so the collective term is the
-    /// uncontended one. A replica is the [`PartitionStrategy::Replicated`]
-    /// plan: one member, no collective, priced bit for bit like the whole
-    /// model.
+    /// shard every iteration. Each step folds the shard costs and the
+    /// uncontended collective through [`PartitionPlan::combine`]. A replica
+    /// is the [`PartitionStrategy::Replicated`] plan: one member, no
+    /// collective, priced bit for bit like the whole model.
     pub fn generation_cost(
         &mut self,
         model: &ModelConfig,
@@ -244,22 +289,9 @@ impl CostModel {
         batch: u64,
         resident_frac: f64,
     ) -> IterationCost {
-        self.generation_sum(model, Some(plan), batch, resident_frac)
-    }
-
-    /// The one schedule loop behind both generation sums: every denoising
-    /// step priced at `resident_frac` — the whole model when `plan` is
-    /// `None`, else every shard folded by [`PartitionPlan::combine`].
-    fn generation_sum(
-        &mut self,
-        model: &ModelConfig,
-        plan: Option<&PartitionPlan>,
-        batch: u64,
-        resident_frac: f64,
-    ) -> IterationCost {
         const PRICEABLE: &str = "positive batch, in-range steps and installed profiles cannot fail";
-        let members = plan.map_or(1, PartitionPlan::num_shards);
-        let mut shards = Vec::with_capacity(members);
+        let collective = plan.collective(batch);
+        let mut shards = Vec::with_capacity(plan.num_shards());
         let mut total = IterationCost {
             latency_ms: 0.0,
             energy_mj: 0.0,
@@ -268,11 +300,11 @@ impl CostModel {
         for step in 0..model.iterations {
             let phase = model.ffn_reuse.phase_of_step(step);
             shards.clear();
-            for s in 0..members {
-                let c = self.price(model, plan, s, batch, phase, resident_frac);
+            for s in 0..plan.num_shards() {
+                let c = self.iteration_shard(model, plan, s, batch, phase, resident_frac);
                 shards.push(c.expect(PRICEABLE));
             }
-            let cost = plan.map_or(shards[0], |p| p.combine(&shards, batch));
+            let cost = plan.combine(&shards, collective);
             total.latency_ms += cost.latency_ms;
             total.energy_mj += cost.energy_mj;
             total.dense_ops += cost.dense_ops;
@@ -313,6 +345,14 @@ impl CostModel {
         let total = self.generation_latency_ms(model, 1) + cold_extra;
         self.isolated.insert(model.kind, total);
         total
+    }
+}
+
+#[cfg(test)]
+impl CostModel {
+    /// Plans cut so far: one per (model, strategy) asked for.
+    pub(crate) fn cuts(&self) -> usize {
+        self.plans.len()
     }
 }
 
@@ -366,11 +406,23 @@ mod tests {
             }
         }
         // Summed over a whole generation, the Replicated plan's unit cost
-        // is the whole model's, warm and at a partial residency.
+        // is the whole model's iterations summed, warm and at a partial
+        // residency.
         let bits = |c: IterationCost| [c.latency_ms, c.energy_mj, c.dense_ops].map(f64::to_bits);
         for batch in [1, 8] {
             for frac in [0.25, 1.0] {
-                let whole = cm.generation_sum(&model, None, batch, frac);
+                let mut whole = IterationCost {
+                    latency_ms: 0.0,
+                    energy_mj: 0.0,
+                    dense_ops: 0.0,
+                };
+                for step in 0..model.iterations {
+                    let phase = model.ffn_reuse.phase_of_step(step);
+                    let c = cm.iteration(&model, batch, phase, frac).unwrap();
+                    whole.latency_ms += c.latency_ms;
+                    whole.energy_mj += c.energy_mj;
+                    whole.dense_ops += c.dense_ops;
+                }
                 let unit = cm.generation_cost(&model, &plan, batch, frac);
                 assert_eq!(bits(whole), bits(unit), "batch {batch}, residency {frac}");
             }
@@ -381,6 +433,67 @@ mod tests {
                     .to_bits()
             );
         }
+    }
+
+    #[test]
+    fn plan_memo_cuts_once_and_serves_every_fabric() {
+        let mut cm = CostModel::new(HwConfig::exion4(), SimAblation::All);
+        let model = ModelConfig::for_kind(ModelKind::VideoCrafter2);
+        let operand_bytes = cm.hw().operand_bytes();
+        let bits = |c: IterationCost| [c.latency_ms, c.energy_mj, c.dense_ops].map(f64::to_bits);
+        let slow = Interconnect {
+            link_gbps: 8.0,
+            latency_us: 20.0,
+            ..Interconnect::ring()
+        };
+        // A gang strategy over two fabrics: one cut, and each fabric prices
+        // its own collective exactly as a cut over it would.
+        let strategy = PartitionStrategy::Pipeline { stages: 2 };
+        let mut costs = Vec::new();
+        for link in [Interconnect::ring(), slow] {
+            let plan = cm.plan(&model, strategy, link);
+            assert_eq!(cm.cuts(), 1, "{link:?} re-cut the model");
+            assert_eq!(plan.interconnect(), link);
+            let fresh = PartitionPlan::new(&model, strategy, link, operand_bytes);
+            assert_eq!(plan, fresh);
+            let unit = cm.generation_cost(&model, &plan, 4, 0.5);
+            assert_eq!(bits(unit), bits(cm.generation_cost(&model, &fresh, 4, 0.5)));
+            costs.push(unit.latency_ms);
+        }
+        assert!(
+            costs[1] > costs[0],
+            "the slow link must price slower: {costs:?}"
+        );
+        // A replica asked over a non-default valid fabric prices iterations
+        // and generations bit for bit like the default-fabric plan, as a
+        // replica cut over that fabric would.
+        let odd = Interconnect {
+            link_gbps: 8.0,
+            latency_us: 20.0,
+            pj_per_bit: 9.0,
+            ..Interconnect::all_to_all()
+        };
+        let replicated = PartitionStrategy::Replicated;
+        let default =
+            PartitionPlan::new(&model, replicated, Interconnect::default(), operand_bytes);
+        for plan in [
+            cm.plan(&model, replicated, odd),
+            PartitionPlan::new(&model, replicated, odd, operand_bytes),
+        ] {
+            for phase in [IterationPhase::Dense, IterationPhase::Sparse] {
+                let one = cm.iteration_shard(&model, &plan, 0, 2, phase, 0.5).unwrap();
+                let base = cm.iteration_shard(&model, &default, 0, 2, phase, 0.5);
+                assert_eq!(bits(one), bits(base.unwrap()));
+            }
+            for batch in [1, 8] {
+                assert_eq!(
+                    bits(cm.generation_cost(&model, &plan, batch, 0.5)),
+                    bits(cm.generation_cost(&model, &default, batch, 0.5)),
+                    "batch {batch}"
+                );
+            }
+        }
+        assert_eq!(cm.cuts(), 2);
     }
 
     #[test]

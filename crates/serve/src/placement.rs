@@ -402,9 +402,10 @@ impl Gang {
     /// on a replica) in *its own* GSC and prices its compute at its warm
     /// fraction. The unit advances only when all members are done:
     /// [`exion_sim::partition::PartitionPlan::combine`] max-composes tensor
-    /// ranks, sum-composes pipeline stages and adds the interconnect
-    /// collective term — for a replica's one shard it returns that shard's
-    /// cost bit for bit, since the `Replicated` plan has no collective.
+    /// ranks, sum-composes pipeline stages and adds the step's collective,
+    /// evaluated once and booked into the unit's link totals too — for a
+    /// replica's one shard it returns that shard's cost bit for bit, since
+    /// the `Replicated` plan has no collective.
     ///
     /// # Panics
     ///
@@ -452,9 +453,10 @@ impl Gang {
                 .push(member.price_step(cost, ctx, info, batch, phase));
         }
         let plan = info.plan(self.strategy);
-        let gang_cost = plan.combine(&self.costs, batch);
-        self.collective_ms += plan.collective_ms(batch);
-        self.collective_bytes += plan.collective_bytes(batch);
+        let collective = plan.collective(batch);
+        let gang_cost = plan.combine(&self.costs, collective);
+        self.collective_ms += collective.ms;
+        self.collective_bytes += collective.bytes;
         // The link energy is booked on the leader along with its shard; the
         // whole gang is occupied for the combined latency (lockstep).
         let link_energy = gang_cost.energy_mj - self.costs.iter().map(|c| c.energy_mj).sum::<f64>();
@@ -517,7 +519,6 @@ mod tests {
         let hw = HwConfig::exion4();
         let mut cost = CostModel::new(hw, SimAblation::All);
         let strategy = PartitionStrategy::Tensor { ways: 2 };
-        let operand_bytes = hw.operand_bytes();
         let ctx = SchedContext::build(
             Arc::new(Fcfs),
             4,
@@ -525,14 +526,7 @@ mod tests {
             &mut cost,
             Interconnect::default(),
             tiny,
-            |k| {
-                Some(exion_sim::partition::PartitionPlan::new(
-                    &tiny(k),
-                    strategy,
-                    Interconnect::default(),
-                    operand_bytes,
-                ))
-            },
+            Some(strategy),
         );
         let mut gang = Gang::sharded(0, &hw, EvictionPolicy::Lru, strategy);
         assert!(gang.is_sharded());

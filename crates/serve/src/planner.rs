@@ -15,7 +15,9 @@
 //! Every unit type is priced one way. A replica is the one-member unit of
 //! the [`PartitionStrategy::Replicated`] plan and a gang the unit of its
 //! strategy's plan, and each (strategy, model) pair gets one projection:
-//! the model's [`PartitionPlan`] and its uncontended full-batch and
+//! the model's [`PartitionPlan`] (read from the cost model's plan memo,
+//! [`CostModel::plan`], so no pass cuts a model twice over a run) and its
+//! uncontended full-batch and
 //! batch-1 generations ([`CostModel::generation_cost`]) at the members'
 //! steady-state residency ([`PartitionPlan::min_member_residency`]; for a
 //! replica that is the whole model's partial residency, since a tenant
@@ -325,9 +327,9 @@ impl PlacementPlanner {
     }
 
     /// The projections of every mix model on a unit of `strategy`: the
-    /// model's cut and its uncontended full-batch and batch-1 generation
-    /// costs with every member at its steady-state residency — computed
-    /// once per (strategy, plan call).
+    /// model's cut (from the cost model's plan memo) and its uncontended
+    /// full-batch and batch-1 generation costs with every member at its
+    /// steady-state residency — computed once per (strategy, plan call).
     fn projections(
         &self,
         hw: &HwConfig,
@@ -340,12 +342,7 @@ impl PlacementPlanner {
             .iter()
             .map(|&(kind, _, _)| {
                 let model = ModelConfig::for_kind(kind);
-                let plan = PartitionPlan::new(
-                    &model,
-                    strategy,
-                    self.config.interconnect,
-                    hw.operand_bytes(),
-                );
+                let plan = cost.plan(&model, strategy, self.config.interconnect);
                 let frac = plan.min_member_residency(hw.gsc_bytes());
                 Projection {
                     full: cost.generation_cost(&model, &plan, batch, frac),
@@ -518,8 +515,10 @@ mod tests {
         let mut cost = CostModel::new(hw, SimAblation::All);
         let planner = PlacementPlanner::new(PlannerConfig::new(2));
         let a = planner.plan(&hw, &mix, 2.0, &mut cost);
+        let cuts = cost.cuts();
         let b = planner.plan(&hw, &mix, 2.0, &mut cost);
         assert_eq!(a, b);
+        assert_eq!(cost.cuts(), cuts, "a repeated pass re-cut a model");
         assert_eq!(a.chosen, a.candidates[0]);
         for w in a.candidates.windows(2) {
             assert!(w[0].score >= w[1].score, "beam must be sorted");

@@ -473,7 +473,7 @@ mod tests {
             &mut cost,
             Interconnect::default(),
             |k| ModelConfig::for_kind(k).shrunk(1, 12),
-            |_| None,
+            None,
         )
     }
 

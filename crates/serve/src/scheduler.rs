@@ -56,7 +56,8 @@ pub struct ModelInfo {
     /// projects completion times with (SLOs scale the same full-batch
     /// generation time, so the two stay consistent).
     pub batched_step_ms: f64,
-    /// The model's cut for each unit type the context serves: the
+    /// The model's cut for each unit type the context serves, read from
+    /// the cost model's plan memo ([`CostModel::plan`]): the
     /// [`PartitionStrategy::Replicated`] plan (a replica is its one-member
     /// unit) first and always, then the gang plan when the placement
     /// deploys gangs. Each member's GSC footprint and step price come from
@@ -108,11 +109,10 @@ impl SchedContext {
     /// Builds the context for `kinds`, pricing refills against `cost`'s
     /// hardware and intra-gang transfers against `interconnect`.
     /// `config_of` supplies each kind's model configuration (shrunk
-    /// configs in tests, the real zoo in production runs), from which the
-    /// `Replicated` plan is built; `plan_of` supplies each kind's gang
-    /// partition plan (`None` for a replica-only cluster — the cluster
-    /// passes its memoized plans so the pipeline op walks run once per
-    /// simulator).
+    /// configs in tests, the real zoo in production runs). Each kind
+    /// carries the `Replicated` plan and, when the placement deploys gangs
+    /// of strategy `gang`, that plan over `interconnect`; both come from
+    /// `cost`'s plan memo ([`CostModel::plan`]), so a rebuild cuts nothing.
     pub fn build(
         policy: Arc<dyn SchedulerPolicy>,
         max_batch: usize,
@@ -120,24 +120,17 @@ impl SchedContext {
         cost: &mut CostModel,
         interconnect: Interconnect,
         config_of: impl Fn(ModelKind) -> ModelConfig,
-        plan_of: impl Fn(ModelKind) -> Option<PartitionPlan>,
+        gang: Option<PartitionStrategy>,
     ) -> Self {
         let operand_bytes = cost.hw().operand_bytes();
         let models = kinds
             .iter()
             .map(|&k| {
                 let config = config_of(k);
-                // A replica drives no link, so its plan is cut over the
-                // default fabric: its collective terms are zero on any
-                // valid link.
-                let replicated = PartitionPlan::new(
-                    &config,
-                    PartitionStrategy::Replicated,
-                    Interconnect::default(),
-                    operand_bytes,
-                );
-                let plans: Vec<PartitionPlan> =
-                    std::iter::once(replicated).chain(plan_of(k)).collect();
+                let plans: Vec<PartitionPlan> = std::iter::once(PartitionStrategy::Replicated)
+                    .chain(gang)
+                    .map(|strategy| cost.plan(&config, strategy, interconnect))
+                    .collect();
                 let iters = config.iterations.max(1) as f64;
                 // The fastest rate any unit in this placement could serve
                 // one request at: a TP gang's combined step undercuts the
@@ -1425,7 +1418,7 @@ mod tests {
             cost,
             Interconnect::default(),
             tiny,
-            |_| None,
+            None,
         )
     }
 

@@ -18,8 +18,8 @@
 //! disjoint op assignment for PP), the [`ShardSpec`] each member executes,
 //! and the interconnect collective term. [`simulate_iteration_shard`]
 //! prices one shard's compute; [`PartitionPlan::combine`] folds the shard
-//! costs into the gang-level iteration cost (max + all-reduce for TP, sum +
-//! hand-offs for PP).
+//! costs and one step's [`Collective`] into the gang-level iteration cost
+//! (max + all-reduce for TP, sum + hand-offs for PP).
 
 use exion_model::config::ModelConfig;
 use serde::{Deserialize, Serialize};
@@ -149,6 +149,20 @@ impl Interconnect {
     }
 }
 
+/// One iteration's collectives at one batch size, evaluated once so a unit
+/// folds them into its step cost and books its link totals from the same
+/// figures.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Collective {
+    /// Per-member interconnect bytes.
+    pub bytes: u64,
+    /// Uncontended wall-clock (ms): payload over the fabric plus per-launch
+    /// latency.
+    pub ms: f64,
+    /// Transfer energy (mJ).
+    pub energy_mj: f64,
+}
+
 /// One model's cut across a gang: per-shard execution specs, the exact
 /// byte partition of the weight working set, and the collective term.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -253,6 +267,14 @@ impl PartitionPlan {
         self.interconnect
     }
 
+    /// The same cut pricing its collectives over `interconnect`: the shard
+    /// specs and byte partition do not depend on the fabric, so re-linking
+    /// equals re-cutting over it.
+    pub fn with_interconnect(mut self, interconnect: Interconnect) -> Self {
+        self.interconnect = interconnect;
+        self
+    }
+
     /// Gang size (shards in the plan).
     pub fn num_shards(&self) -> usize {
         self.specs.len()
@@ -326,26 +348,39 @@ impl PartitionPlan {
     /// a fully connected fabric does not contend. The placement planner
     /// prices candidate multi-gang placements with this term.
     pub fn collective_ms_contended(&self, batch: u64, concurrent_gangs: usize) -> f64 {
+        self.wire_ms(self.collective_bytes(batch), concurrent_gangs)
+    }
+
+    /// Wall-clock (ms) of moving `bytes` per member through this plan's
+    /// collective launches with `concurrent_gangs` gangs on the fabric.
+    fn wire_ms(&self, bytes: u64, concurrent_gangs: usize) -> f64 {
         let effective_gbps = self.interconnect.link_gbps * self.parallel_links()
             / self.interconnect.contention_factor(concurrent_gangs);
-        self.collective_bytes(batch) as f64 / (effective_gbps.max(1e-9) * 1e6)
+        bytes as f64 / (effective_gbps.max(1e-9) * 1e6)
             + self.collective_ops as f64 * self.interconnect.latency_us * 1e-3
     }
 
-    /// Transfer energy (mJ) of one iteration's collectives at `batch` rows.
-    pub fn collective_energy_mj(&self, batch: u64) -> f64 {
-        self.collective_bytes(batch) as f64 * 8.0 * self.interconnect.pj_per_bit * 1e-9
+    /// One iteration's uncontended collectives at `batch` rows: wire bytes,
+    /// [`Self::collective_ms`] and transfer energy, from one byte count.
+    pub fn collective(&self, batch: u64) -> Collective {
+        let bytes = self.collective_bytes(batch);
+        Collective {
+            bytes,
+            ms: self.wire_ms(bytes, 1),
+            energy_mj: bytes as f64 * 8.0 * self.interconnect.pj_per_bit * 1e-9,
+        }
     }
 
     /// Folds per-shard iteration costs into the gang-level cost: tensor
     /// ranks run concurrently (latency is the slowest shard), pipeline
     /// stages run a batch sequentially (latency is the stage sum); both add
-    /// the collective term. Energy and dense-equivalent ops sum.
+    /// the step's `collective` ([`Self::collective`] at the batch the
+    /// shards ran). Energy and dense-equivalent ops sum.
     ///
     /// # Panics
     ///
     /// Panics when `shard_costs.len()` differs from the gang size.
-    pub fn combine(&self, shard_costs: &[IterationCost], batch: u64) -> IterationCost {
+    pub fn combine(&self, shard_costs: &[IterationCost], collective: Collective) -> IterationCost {
         assert_eq!(
             shard_costs.len(),
             self.num_shards(),
@@ -358,9 +393,8 @@ impl PartitionPlan {
             PartitionStrategy::Pipeline { .. } => shard_costs.iter().map(|c| c.latency_ms).sum(),
         };
         IterationCost {
-            latency_ms: compute_ms + self.collective_ms(batch),
-            energy_mj: shard_costs.iter().map(|c| c.energy_mj).sum::<f64>()
-                + self.collective_energy_mj(batch),
+            latency_ms: compute_ms + collective.ms,
+            energy_mj: shard_costs.iter().map(|c| c.energy_mj).sum::<f64>() + collective.energy_mj,
             dense_ops: shard_costs.iter().map(|c| c.dense_ops).sum(),
         }
     }
@@ -516,7 +550,7 @@ mod tests {
             assert!(c.latency_ms < 0.75 * whole.latency_ms, "{c:?} vs {whole:?}");
             assert!(c.dense_ops < 0.6 * whole.dense_ops);
         }
-        let gang = plan.combine(&shards, 1);
+        let gang = plan.combine(&shards, plan.collective(1));
         // The gang beats one instance but pays the all-reduce over the max.
         assert!(gang.latency_ms < whole.latency_ms);
         assert!(gang.latency_ms > shards[0].latency_ms.max(shards[1].latency_ms));
@@ -554,7 +588,7 @@ mod tests {
                 .unwrap()
             })
             .collect();
-        let gang = plan.combine(&shards, 1);
+        let gang = plan.combine(&shards, plan.collective(1));
         let sum: f64 = shards.iter().map(|c| c.latency_ms).sum();
         assert!(gang.latency_ms > sum, "stage hand-off must cost time");
         assert!((gang.latency_ms - sum - plan.collective_ms(1)).abs() < 1e-9);
@@ -574,7 +608,8 @@ mod tests {
         // hand that shard's cost back bit for bit.
         let bits = |c: IterationCost| [c.latency_ms, c.energy_mj, c.dense_ops].map(f64::to_bits);
         for batch in [1, 8] {
-            assert_eq!(rep.collective_energy_mj(batch).to_bits(), 0.0f64.to_bits());
+            let collective = rep.collective(batch);
+            assert_eq!(collective.energy_mj.to_bits(), 0.0f64.to_bits());
             for c in [
                 IterationCost {
                     latency_ms: 0.1 + 0.2,
@@ -587,7 +622,11 @@ mod tests {
                     dense_ops: 1.25,
                 },
             ] {
-                assert_eq!(bits(rep.combine(&[c], batch)), bits(c), "batch {batch}");
+                assert_eq!(
+                    bits(rep.combine(&[c], collective)),
+                    bits(c),
+                    "batch {batch}"
+                );
             }
         }
     }

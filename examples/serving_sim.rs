@@ -18,8 +18,8 @@
 //! `default`): `default` is the single-instance sparsity-aware batcher at
 //! 90% load, `sharded` a TP=2 gang, `admission` deadline admission past the
 //! knee, `planned` auto-placement over a diurnal ramp, and `chaos` the
-//! `planned` scenario with unit 0 crashing at mid-horizon for a quarter
-//! horizon.
+//! `planned` scenario over the multi-tenant mix with unit 0 crashing at
+//! mid-horizon for a quarter horizon.
 //! `EXION_SERVE_HORIZON_MS` caps the trace horizon (CI smoke runs use a
 //! small value; the default is the full 4 s trace).
 //! `EXION_SERVE_TRACE=<path>` writes the scenario's timeline as Chrome
@@ -84,8 +84,10 @@ fn representative_scenario(horizon_ms: f64, mode: &str) -> (ServeConfigBuilder, 
         .capacity_estimate_rps(&WorkloadMix::multi_tenant());
     match mode {
         // Auto-placement over a diurnal ramp: re-plans show up as replan
-        // instants and migration-drain slices. Chaos mode crashes unit 0
-        // at mid-horizon and repairs it a quarter horizon later.
+        // instants and migration-drain slices. Chaos mode serves the
+        // multi-tenant mix, whose short generations finish before the
+        // fault, crashes unit 0 at mid-horizon and repairs it a quarter
+        // horizon later.
         "planned" | "chaos" => {
             let builder = ServeConfig::builder(hw).auto_placement(
                 PlacementPlanner::new(
@@ -93,10 +95,11 @@ fn representative_scenario(horizon_ms: f64, mode: &str) -> (ServeConfigBuilder, 
                 ),
                 0.3 * capacity,
             );
-            let builder = if mode == "chaos" {
-                builder.fault_plan(FaultPlan::empty().crash(horizon_ms / 2.0, 0, horizon_ms / 4.0))
+            let (builder, mix) = if mode == "chaos" {
+                let crash = FaultPlan::empty().crash(horizon_ms / 2.0, 0, horizon_ms / 4.0);
+                (builder.fault_plan(crash), WorkloadMix::multi_tenant())
             } else {
-                builder
+                (builder, WorkloadMix::text_to_video())
             };
             (
                 builder,
@@ -107,7 +110,7 @@ fn representative_scenario(horizon_ms: f64, mode: &str) -> (ServeConfigBuilder, 
                     },
                     horizon_ms,
                     seed: 42,
-                    mix: WorkloadMix::text_to_video(),
+                    mix,
                 },
             )
         }
@@ -276,7 +279,6 @@ fn main() {
         report.arrivals,
         profile.sim_ms_per_wall_ms(),
     );
-    report_chaos(&report);
     if let Some(f) = &report.fault {
         // The chaos scenario is busy at its fault time, so the plan must
         // kill something (a plan that only no-ops is wired to nothing),

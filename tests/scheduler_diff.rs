@@ -31,7 +31,7 @@ fn ctx_for(policy: Arc<dyn policy::SchedulerPolicy>, max_batch: usize) -> SchedC
         &mut cost,
         Interconnect::default(),
         |k| ModelConfig::for_kind(k).shrunk(1, 12),
-        |_| None,
+        None,
     )
 }
 
