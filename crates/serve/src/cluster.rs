@@ -689,6 +689,17 @@ pub struct RunProfile {
     pub makespan_ms: f64,
     /// Requests completed.
     pub completed: usize,
+    /// GSC requests (weight-shard touches and latent parks) over every
+    /// instance the run deployed, live and retired.
+    pub gsc_requests: u64,
+    /// GSC evictions over every instance the run deployed, live and
+    /// retired.
+    pub gsc_evictions: u64,
+    /// Iteration prices the cost model answered from its memo during the
+    /// run.
+    pub cost_memo_hits: u64,
+    /// Iteration prices the cost model had to simulate during the run.
+    pub cost_memo_misses: u64,
 }
 
 impl RunProfile {
@@ -1008,6 +1019,9 @@ struct ClusterRun<'a> {
 
     executed_iterations: u64,
     events_executed: u64,
+    /// The cost model's `(hits, misses)` when the run started: the
+    /// memo outlives runs, so the profile reports the difference.
+    memo_at_start: (u64, u64),
     /// Arrivals generated before the current planner epoch started.
     epoch_cum_start: usize,
     /// Boundary-path scratch reused across every event, so a
@@ -1023,6 +1037,7 @@ impl<'a> ClusterRun<'a> {
     /// planner epoch and every fault-plan event.
     fn new(sim: &'a mut ServeSimulator, trace: &'a TraceConfig, sink: &'a mut dyn Sink) -> Self {
         let run_start = std::time::Instant::now();
+        let memo_at_start = sim.cost.memo_counts();
         // Opening the stream validates the trace, so a bad one fails here,
         // before any pricing or planning.
         let releaser = ArrivalReleaser::new(trace);
@@ -1110,6 +1125,7 @@ impl<'a> ClusterRun<'a> {
             stranded_at: None,
             executed_iterations: 0,
             events_executed: 0,
+            memo_at_start,
             epoch_cum_start: 0,
             boundary_outcome: AdmitOutcome::default(),
             boundary_done: Vec::new(),
@@ -2113,7 +2129,14 @@ impl<'a> ClusterRun<'a> {
             .iter()
             .map(|c| c.finished_ms)
             .fold(0.0, f64::max);
+        let (mut gsc_requests, mut gsc_evictions) = (0, 0);
+        for member in units.iter().flat_map(|(u, ..)| &u.members) {
+            let (requests, evictions) = member.gsc_work();
+            gsc_requests += requests;
+            gsc_evictions += evictions;
+        }
         let sim = self.sim;
+        let (hits, misses) = sim.cost.memo_counts();
         sim.last_profile = Some(RunProfile {
             wall_ms: self.run_start.elapsed().as_secs_f64() * 1e3,
             planner_wall_ms: self.planner_watch.wall_ms(),
@@ -2123,6 +2146,10 @@ impl<'a> ClusterRun<'a> {
             peak_calendar_events: self.calendar.peak_len(),
             makespan_ms,
             completed: completions.len(),
+            gsc_requests,
+            gsc_evictions,
+            cost_memo_hits: hits - self.memo_at_start.0,
+            cost_memo_misses: misses - self.memo_at_start.1,
         });
         let (mean_queue_depth, peak_queue_depth) = self.depth.finish(makespan_ms);
         let (sheds, losts) = (self.sheds, self.losts);

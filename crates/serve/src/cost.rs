@@ -84,6 +84,9 @@ pub struct CostModel {
     /// Measured per-model profiles (e.g. `exion-bench::profiles`) override
     /// the analytic closed form when present.
     profiles: HashMap<ModelKind, SparsityProfile>,
+    /// Memo lookups answered from `memo`, and those that simulated.
+    hits: u64,
+    misses: u64,
 }
 
 impl CostModel {
@@ -96,6 +99,8 @@ impl CostModel {
             plans: HashMap::new(),
             isolated: HashMap::new(),
             profiles: HashMap::new(),
+            hits: 0,
+            misses: 0,
         }
     }
 
@@ -241,8 +246,10 @@ impl CostModel {
         let frac_q = (resident_frac.clamp(0.0, 1.0) * RESIDENCY_QUANTA).round() as u32;
         let key = (model.kind, batch, slot(strategy, shard, phase, frac_q));
         if let Some(&cost) = self.memo.get(&key) {
+            self.hits += 1;
             return Ok(cost);
         }
+        self.misses += 1;
         // Step 0 is always dense; step 1 is sparse whenever FFN-Reuse is on
         // (every benchmark has sparse_iters ≥ 1).
         let step = match phase {
@@ -310,6 +317,12 @@ impl CostModel {
             total.dense_ops += cost.dense_ops;
         }
         total
+    }
+
+    /// Iteration-memo lookups so far, `(hits, misses)`: each miss ran one
+    /// cycle simulation.
+    pub(crate) fn memo_counts(&self) -> (u64, u64) {
+        (self.hits, self.misses)
     }
 
     /// Wall-clock cost (ms) per byte moved across this hardware's DRAM

@@ -464,6 +464,12 @@ impl Instance {
         self.gsc.occupancy_bytes()
     }
 
+    /// GSC requests and evictions so far — the run profile's residency
+    /// work counts.
+    pub(crate) fn gsc_work(&self) -> (u64, u64) {
+        (self.gsc.requests(), self.gsc.evictions())
+    }
+
     /// Parks every running request straight to DRAM for a placement
     /// migration: each latent pays the write-back transfer on this
     /// instance's clock, the request re-enters `queue` with its step count

@@ -229,6 +229,11 @@ impl GscCache {
         self.evictions
     }
 
+    /// [`Self::request`] calls so far, hits and refills alike.
+    pub fn requests(&self) -> u64 {
+        self.tick
+    }
+
     /// Residency hit-rate: hit bytes over total demanded bytes (1.0 before
     /// any traffic).
     pub fn hit_rate(&self) -> f64 {

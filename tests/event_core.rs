@@ -1,13 +1,14 @@
 //! Event-calendar core pins: the heap-driven cluster loop must reproduce
 //! the pre-refactor unit-scan loop bit for bit on the four standard
 //! scenarios (`serve_sweep::standard_scenarios`; fixed seeds, sinks on and
-//! off), and each scenario's phase mix and run counts must match an exact
-//! golden. Idle units must execute nothing during arrival gaps, metric
-//! snapshots must land on exact cadence multiples, a fleet-sized run's
-//! calendar must stay bounded by its units, a deep backlog must build and
-//! drain (with a work golden of its own), conservation + determinism must
-//! hold on randomized fleet-sized placements, and a 49-config corpus must
-//! reproduce its whole report and telemetry stream byte for byte.
+//! off), and each scenario's phase mix, run counts and residency and
+//! pricing work must match exact goldens. Idle units must execute nothing
+//! during arrival gaps, metric snapshots must land on exact cadence
+//! multiples, a fleet-sized run's calendar must stay bounded by its units,
+//! a deep backlog must build and drain (with work goldens of its own),
+//! conservation + determinism must hold on randomized fleet-sized
+//! placements, and a 49-config corpus must reproduce its whole report and
+//! telemetry stream byte for byte.
 //!
 //! Timing is not pinned here: the repository benchmark (`perfbench/`)
 //! measures it, and CI gates it against `BENCH_serve.json`.
@@ -70,6 +71,43 @@ fn work_fingerprint(report: &ServeReport, profile: &RunProfile) -> u64 {
     h
 }
 
+/// The residency and pricing work of a run: GSC requests and evictions
+/// summed over every instance it deployed, then the cost model's memo
+/// hits and misses.
+fn work_counts(profile: &RunProfile) -> [u64; 4] {
+    [
+        profile.gsc_requests,
+        profile.gsc_evictions,
+        profile.cost_memo_hits,
+        profile.cost_memo_misses,
+    ]
+}
+
+/// [`work_counts`] of the four standard scenarios and of the deep-backlog
+/// run, captured while the GSC cache and the cost memo were still
+/// `RandomState` hash maps: the storage behind either may change, the
+/// work they do may not.
+const GOLDEN_WORK_COUNTS: [(&str, [u64; 4]); 5] = [
+    ("poisson_90pct_exion4", [850, 10, 1_422, 28]),
+    ("bursty_preemptive_edf_exion24", [615, 8, 1_182, 33]),
+    ("tp2_gang_video_exion4", [300, 0, 510, 40]),
+    ("planned_diurnal_exion4", [220, 0, 2_622, 48]),
+    ("deep_backlog", [11_310, 154, 11_836, 74]),
+];
+
+fn assert_work_counts(run: &str, profile: &RunProfile) {
+    let golden = GOLDEN_WORK_COUNTS
+        .iter()
+        .find(|(name, _)| *name == run)
+        .map(|&(_, counts)| counts)
+        .expect("every pinned run carries work counts");
+    assert_eq!(
+        work_counts(profile),
+        golden,
+        "{run}: [GSC requests, GSC evictions, memo hits, memo misses] diverged"
+    );
+}
+
 /// The horizon the goldens below were captured at.
 const GOLDEN_HORIZON_MS: f64 = 1_200.0;
 
@@ -113,6 +151,7 @@ fn standard_scenario_fingerprints_survive_the_event_core() {
         let untraced = sim.run(&trace);
         let profile = sim.last_run_profile().expect("run leaves a profile");
         let work = work_fingerprint(&untraced, profile);
+        assert_work_counts(scenario, profile);
         assert_eq!(
             work,
             golden_work,
@@ -326,6 +365,7 @@ fn deep_backlog_run_builds_and_drains_the_backlog() {
         horizon_ms
     );
     assert!(profile.iterations > 0);
+    assert_work_counts("deep_backlog", profile);
     let work = work_fingerprint(&report, profile);
     assert_eq!(
         work,
