@@ -22,7 +22,7 @@
 //! degrade it to a reduced DDIM step budget. Configs are assembled with
 //! [`ServeConfig::builder`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use exion_model::config::{ModelConfig, ModelKind};
@@ -40,6 +40,7 @@ use crate::attribution::AttributionBuilder;
 use crate::calendar::{EventCalendar, EventKind};
 use crate::cost::CostModel;
 use crate::fault::{CheckpointPolicy, FaultKind, FaultPlan, FaultSpec};
+use crate::hash::FxHashMap;
 use crate::metrics::{
     DepthTracker, EpochStat, FaultRecord, FaultReport, LatencyStats, PlannerReport, ReplanEvent,
     SeriesRecorder, ServeReport,
@@ -953,7 +954,7 @@ struct ClusterRun<'a> {
     planner_watch: StopWatch,
     kinds: Vec<ModelKind>,
     /// Per-kind `(slo_ms, steps)` released requests are minted with.
-    request_proto: HashMap<ModelKind, (f64, usize)>,
+    request_proto: FxHashMap<ModelKind, (f64, usize)>,
     releaser: ArrivalReleaser,
 
     /// The deployed placement (planner-chosen under auto-placement).

@@ -23,8 +23,13 @@
 //! plan, so the placement planner and the capacity estimate price replicas
 //! and gangs with the same call. [`CostModel::generation_latency_ms`] is
 //! the warm replica generation that SLOs scale.
-
-use std::collections::HashMap;
+//!
+//! Every serving member looks up its price once per iteration, so the memo
+//! and the plan table hash their keys with the crate's one deterministic
+//! multiplicative hasher rather than std's SipHash: each key is made by
+//! the program, and none can be chosen to flood a table. Nothing reads the
+//! maps' iteration order. The model counts its memo hits and misses, which
+//! each run reports in its `RunProfile`.
 
 use exion_model::config::{IterationPhase, ModelConfig, ModelKind};
 use exion_sim::config::HwConfig;
@@ -33,6 +38,8 @@ use exion_sim::partition::{
 };
 use exion_sim::perf::{IterationCost, SimAblation, SimError};
 use exion_sim::workload::{ShardSpec, SparsityProfile};
+
+use crate::hash::FxHashMap;
 
 /// Residency-fraction quantization for memo keys (1/32 ≈ 3% granularity —
 /// finer than any latency effect the DRAM model resolves).
@@ -76,14 +83,13 @@ pub struct CostModel {
     hw: HwConfig,
     ablation: SimAblation,
     /// Iteration costs by `(model, batch, slot)` — see [`slot`].
-    memo: HashMap<(ModelKind, u64, u32), IterationCost>,
+    memo: FxHashMap<(ModelKind, u64, u32), IterationCost>,
     /// Each model's cut per strategy, over the default fabric — see
     /// [`Self::plan`].
-    plans: HashMap<(ModelKind, PartitionStrategy), PartitionPlan>,
-    isolated: HashMap<ModelKind, f64>,
+    plans: FxHashMap<(ModelKind, PartitionStrategy), PartitionPlan>,
     /// Measured per-model profiles (e.g. `exion-bench::profiles`) override
     /// the analytic closed form when present.
-    profiles: HashMap<ModelKind, SparsityProfile>,
+    profiles: FxHashMap<ModelKind, SparsityProfile>,
     /// Memo lookups answered from `memo`, and those that simulated.
     hits: u64,
     misses: u64,
@@ -95,10 +101,9 @@ impl CostModel {
         Self {
             hw,
             ablation,
-            memo: HashMap::new(),
-            plans: HashMap::new(),
-            isolated: HashMap::new(),
-            profiles: HashMap::new(),
+            memo: FxHashMap::default(),
+            plans: FxHashMap::default(),
+            profiles: FxHashMap::default(),
             hits: 0,
             misses: 0,
         }
@@ -107,11 +112,6 @@ impl CostModel {
     /// The hardware this model prices.
     pub fn hw(&self) -> &HwConfig {
         &self.hw
-    }
-
-    /// The ablation under which iterations are priced.
-    pub fn ablation(&self) -> SimAblation {
-        self.ablation
     }
 
     /// The analytic sparsity profile of `model` (same closed form the
@@ -137,7 +137,6 @@ impl CostModel {
         profile.validate()?;
         self.profiles.insert(kind, profile);
         self.memo.retain(|(k, _, _), _| *k != kind);
-        self.isolated.remove(&kind);
         Ok(())
     }
 
@@ -336,28 +335,6 @@ impl CostModel {
     /// the device's read/write energy (`DramTiming::rw_pj_per_bit`).
     pub fn dram_mj_per_byte(&self) -> f64 {
         8.0 * self.hw.dram_timing().rw_pj_per_bit * 1e-9
-    }
-
-    /// Isolated batch-1 generation latency of `model` on this hardware
-    /// (cold first step, warm thereafter): the no-contention reference
-    /// point for speedup/slowdown analysis. SLOs scale the full-batch
-    /// service time instead (see `ServeSimulator::run`).
-    pub fn isolated_latency_ms(&mut self, model: &ModelConfig) -> f64 {
-        if let Some(&ms) = self.isolated.get(&model.kind) {
-            return ms;
-        }
-        let cold_extra = {
-            let cold = self
-                .iteration(model, 1, IterationPhase::Dense, 0.0)
-                .expect("batch 1 cannot fail");
-            let warm = self
-                .iteration(model, 1, IterationPhase::Dense, 1.0)
-                .expect("batch 1 cannot fail");
-            cold.latency_ms - warm.latency_ms
-        };
-        let total = self.generation_latency_ms(model, 1) + cold_extra;
-        self.isolated.insert(model.kind, total);
-        total
     }
 }
 
@@ -604,25 +581,5 @@ mod tests {
             .iteration(&model, 1, IterationPhase::Sparse, 1.0)
             .unwrap();
         assert_eq!(after, before);
-    }
-
-    #[test]
-    fn isolated_latency_matches_end_to_end_sim() {
-        let mut cm = CostModel::new(HwConfig::exion4(), SimAblation::All);
-        let model = ModelConfig::for_kind(ModelKind::Mdm);
-        let isolated = cm.isolated_latency_ms(&model);
-        let full = exion_sim::perf::simulate_model(
-            &HwConfig::exion4(),
-            &model,
-            &CostModel::analytic_profile(&model),
-            SimAblation::All,
-            1,
-        );
-        let gap = (isolated - full.latency_ms).abs() / full.latency_ms;
-        assert!(
-            gap < 0.05,
-            "isolated {isolated} vs full {}",
-            full.latency_ms
-        );
     }
 }

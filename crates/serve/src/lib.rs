@@ -110,6 +110,7 @@ pub mod calendar;
 pub mod cluster;
 pub mod cost;
 pub mod fault;
+mod hash;
 pub mod metrics;
 pub mod placement;
 pub mod planner;

@@ -33,10 +33,11 @@
 //! admission projects its competing backlog in O(log n) per arrival
 //! instead of rescanning the queue.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use exion_model::config::ModelKind;
 
+use crate::hash::FxHashMap;
 use crate::request::Request;
 use crate::scheduler::SchedContext;
 
@@ -79,8 +80,8 @@ struct SlotInfo {
 #[derive(Debug, Clone, Default)]
 pub struct ReadyQueue {
     entries: Vec<Request>,
-    slot_of: HashMap<u64, SlotInfo>,
-    fresh: HashMap<ModelKind, BTreeSet<(u64, u64)>>,
+    slot_of: FxHashMap<u64, SlotInfo>,
+    fresh: FxHashMap<ModelKind, BTreeSet<(u64, u64)>>,
     deferred: Vec<u64>,
     backlog: BacklogIndex,
     // Reusable scratch of the scheduler's boundary path (candidate keys,
@@ -341,7 +342,7 @@ struct ModelBacklog {
     /// Fenwick tree (1-based) over currently queued steps per position.
     tree: Vec<u64>,
     /// Request id -> 1-based Fenwick position.
-    position: HashMap<u64, usize>,
+    position: FxHashMap<u64, usize>,
     monotone: bool,
 }
 
@@ -351,7 +352,7 @@ impl ModelBacklog {
             kind,
             deadlines: Vec::new(),
             tree: Vec::new(),
-            position: HashMap::new(),
+            position: FxHashMap::default(),
             monotone: true,
         }
     }

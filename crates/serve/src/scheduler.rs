@@ -21,7 +21,6 @@
 //! rather than a warm/cold flag. Multi-tenant traffic therefore pays real
 //! partial refills instead of fictitious full cold switches.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use exion_model::config::{IterationPhase, ModelConfig, ModelKind};
@@ -31,6 +30,7 @@ use exion_sim::perf::IterationCost;
 use exion_sim::residency::{latent_state_bytes, EvictionPolicy, GscCache, GscObject};
 
 use crate::cost::CostModel;
+use crate::hash::FxHashMap;
 use crate::metrics::InstanceStats;
 use crate::policy::{SchedSnapshot, SchedulerPolicy};
 use crate::queue::{key_from_bits, ReadyQueue};
@@ -102,7 +102,7 @@ pub struct SchedContext {
     link_latency_ms: f64,
     /// Transfer energy per byte over the gang interconnect (mJ).
     link_mj_per_byte: f64,
-    models: HashMap<ModelKind, ModelInfo>,
+    models: FxHashMap<ModelKind, ModelInfo>,
 }
 
 impl SchedContext {

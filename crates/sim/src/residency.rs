@@ -10,8 +10,13 @@
 //! warm/cold flag: an iteration is priced by the *fraction* of its weight
 //! working set already resident, and eviction decides who pays the next
 //! refill.
-
-use std::collections::HashMap;
+//!
+//! A cache holds a handful of entries: a shard per tenant its instance
+//! has served, plus the latents parked on it. Every request already sums
+//! all of them and every eviction compares all of them, so [`GscCache`]
+//! keeps them in a plain vector and finds an entry by scanning it; a hash
+//! map would only add hashing to every iteration's touch. Eviction picks
+//! its victim by distinct touch ticks, so the vector's order never shows.
 
 use exion_model::config::{ModelConfig, NetworkType};
 use serde::{Deserialize, Serialize};
@@ -79,7 +84,7 @@ impl EvictionPolicy {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 struct Entry {
     /// Bytes of the object currently resident (≤ `full_bytes`).
     bytes: u64,
@@ -127,11 +132,15 @@ impl ResidencyOutcome {
 /// Invariant (property-tested in `tests/serving.rs`): the summed entry bytes
 /// never exceed the configured capacity, across any sequence of requests,
 /// pins, and removals.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct GscCache {
     capacity: u64,
     policy: EvictionPolicy,
-    entries: HashMap<GscObject, Entry>,
+    /// The resident entries, in no meaningful order (removal swaps the last
+    /// entry into the hole). A cache holds a few weight shards and parked
+    /// latents, and every request already sums all of them, so finding an
+    /// entry by a scan costs less than hashing its key would.
+    entries: Vec<(GscObject, Entry)>,
     tick: u64,
     hit_bytes: u64,
     refill_bytes: u64,
@@ -144,7 +153,7 @@ impl GscCache {
         Self {
             capacity: capacity_bytes,
             policy,
-            entries: HashMap::new(),
+            entries: Vec::new(),
             tick: 0,
             hit_bytes: 0,
             refill_bytes: 0,
@@ -159,7 +168,7 @@ impl GscCache {
 
     /// Summed resident bytes across entries.
     pub fn occupancy_bytes(&self) -> u64 {
-        self.entries.values().map(|e| e.bytes).sum()
+        self.entries.iter().map(|(_, e)| e.bytes).sum()
     }
 
     /// Unoccupied bytes.
@@ -174,9 +183,9 @@ impl GscCache {
     pub fn evictable_bytes(&self) -> u64 {
         let pinned: u64 = self
             .entries
-            .values()
-            .filter(|e| e.pinned)
-            .map(|e| e.bytes)
+            .iter()
+            .filter(|(_, e)| e.pinned)
+            .map(|(_, e)| e.bytes)
             .sum();
         self.capacity.saturating_sub(pinned)
     }
@@ -195,10 +204,19 @@ impl GscCache {
         self.capacity.saturating_sub(committed)
     }
 
+    /// The storage slot of `obj`'s entry, if resident.
+    fn find(&self, obj: GscObject) -> Option<usize> {
+        self.entries.iter().position(|(k, _)| *k == obj)
+    }
+
+    /// The entry of `obj`, if resident.
+    fn entry(&self, obj: GscObject) -> Option<&Entry> {
+        self.find(obj).map(|i| &self.entries[i].1)
+    }
+
     /// Resident fraction of `obj` (0.0 when absent, 1.0 when fully held).
     pub fn resident_fraction(&self, obj: GscObject) -> f64 {
-        self.entries
-            .get(&obj)
+        self.entry(obj)
             .map(|e| {
                 if e.full_bytes == 0 {
                     1.0
@@ -211,7 +229,7 @@ impl GscCache {
 
     /// Resident bytes of `obj` (0 when absent).
     pub fn resident_bytes(&self, obj: GscObject) -> u64 {
-        self.entries.get(&obj).map(|e| e.bytes).unwrap_or(0)
+        self.entry(obj).map(|e| e.bytes).unwrap_or(0)
     }
 
     /// Bytes found resident across all requests so far.
@@ -249,14 +267,16 @@ impl GscCache {
     /// evicted; the serving layer pins the active model's weight shards for
     /// the duration of its batch.
     pub fn set_pinned(&mut self, obj: GscObject, pinned: bool) {
-        if let Some(e) = self.entries.get_mut(&obj) {
-            e.pinned = pinned;
+        if let Some(i) = self.find(obj) {
+            self.entries[i].1.pinned = pinned;
         }
     }
 
     /// Drops `obj`, returning the bytes it held (0 when absent).
     pub fn remove(&mut self, obj: GscObject) -> u64 {
-        self.entries.remove(&obj).map(|e| e.bytes).unwrap_or(0)
+        self.find(obj)
+            .map(|i| self.entries.swap_remove(i).1.bytes)
+            .unwrap_or(0)
     }
 
     /// Touches, and refills toward full residency, the entry for `obj` with
@@ -272,48 +292,55 @@ impl GscCache {
         pinned: bool,
     ) -> ResidencyOutcome {
         self.tick += 1;
-        let prior_bytes = self.resident_bytes(obj).min(full_bytes);
+        // One pass finds `obj` and sums everything else resident.
+        let (mut slot, mut others, mut held) = (None, 0, 0);
+        for (i, (k, e)) in self.entries.iter().enumerate() {
+            if *k == obj {
+                slot = Some(i);
+                held = e.bytes;
+            } else {
+                others += e.bytes;
+            }
+        }
+        let prior_bytes = held.min(full_bytes);
         let want = full_bytes - prior_bytes;
 
         // Free space for the missing part: capacity minus everything else
         // resident, growable by evicting unpinned entries other than `obj`.
-        let others: u64 = self
-            .entries
-            .iter()
-            .filter(|(k, _)| **k != obj)
-            .map(|(_, e)| e.bytes)
-            .sum();
         let mut free = self.capacity.saturating_sub(others + prior_bytes);
         let mut evicted = Vec::new();
         while free < want {
-            match self.eviction_victim(obj) {
-                Some(victim) => {
-                    let released = self.shrink(victim, want - free);
-                    self.evictions += 1;
-                    free += released;
-                    evicted.push((victim, released));
-                }
-                None => break,
-            }
+            let Some(i) = self.eviction_victim(obj) else {
+                break;
+            };
+            let (victim, released) = self.shrink(i, want - free);
+            self.evictions += 1;
+            free += released;
+            evicted.push((victim, released));
+        }
+        if !evicted.is_empty() {
+            // A victim that left whole may have moved `obj`'s entry.
+            slot = self.find(obj);
         }
 
         let refilled = want.min(free);
         let resident = prior_bytes + refilled;
         self.hit_bytes += prior_bytes;
         self.refill_bytes += full_bytes - prior_bytes;
-        if resident > 0 || full_bytes == 0 {
-            self.entries.insert(
-                obj,
-                Entry {
-                    bytes: resident,
-                    full_bytes,
-                    refill_cost_ms,
-                    last_touch: self.tick,
-                    pinned,
-                },
-            );
-        } else {
-            self.entries.remove(&obj);
+        let entry = Entry {
+            bytes: resident,
+            full_bytes,
+            refill_cost_ms,
+            last_touch: self.tick,
+            pinned,
+        };
+        match (slot, resident > 0 || full_bytes == 0) {
+            (Some(i), true) => self.entries[i].1 = entry,
+            (None, true) => self.entries.push((obj, entry)),
+            (Some(i), false) => {
+                self.entries.swap_remove(i);
+            }
+            (None, false) => {}
         }
         debug_assert!(self.occupancy_bytes() <= self.capacity);
         ResidencyOutcome {
@@ -324,38 +351,40 @@ impl GscCache {
         }
     }
 
-    /// Releases up to `needed` bytes from `victim`: weight shards shrink
-    /// to partial residency, latents (indivisible state) leave whole.
-    /// Returns the bytes released.
-    fn shrink(&mut self, victim: GscObject, needed: u64) -> u64 {
-        let Some(e) = self.entries.get_mut(&victim) else {
-            return 0;
-        };
+    /// Releases up to `needed` bytes from the entry in slot `i`: weight
+    /// shards shrink to partial residency, latents (indivisible state)
+    /// leave whole. Returns the victim and the bytes released.
+    fn shrink(&mut self, i: usize, needed: u64) -> (GscObject, u64) {
+        let (victim, e) = &mut self.entries[i];
+        let victim = *victim;
         if victim.is_latent() || e.bytes <= needed {
-            return self.remove(victim);
+            return (victim, self.entries.swap_remove(i).1.bytes);
         }
         e.bytes -= needed;
-        needed
+        (victim, needed)
     }
 
-    /// The next eviction victim under the policy, excluding `keep` and
-    /// pinned entries; `None` when nothing is evictable.
-    fn eviction_victim(&self, keep: GscObject) -> Option<GscObject> {
+    /// The slot of the next eviction victim under the policy, excluding
+    /// `keep` and pinned entries; `None` when nothing is evictable. Every
+    /// entry's last touch is a distinct tick, so the victim never depends
+    /// on storage order.
+    fn eviction_victim(&self, keep: GscObject) -> Option<usize> {
         let candidates = self
             .entries
             .iter()
-            .filter(|(k, e)| **k != keep && !e.pinned && e.bytes > 0);
+            .enumerate()
+            .filter(|(_, (k, e))| *k != keep && !e.pinned && e.bytes > 0);
         match self.policy {
             EvictionPolicy::Lru => candidates
-                .min_by_key(|(_, e)| e.last_touch)
-                .map(|(k, _)| *k),
+                .min_by_key(|(_, (_, e))| e.last_touch)
+                .map(|(i, _)| i),
             EvictionPolicy::CostAware => candidates
-                .min_by(|(_, a), (_, b)| {
+                .min_by(|(_, (_, a)), (_, (_, b))| {
                     a.refill_cost_ms
                         .total_cmp(&b.refill_cost_ms)
                         .then(a.last_touch.cmp(&b.last_touch))
                 })
-                .map(|(k, _)| *k),
+                .map(|(i, _)| i),
         }
     }
 }
