@@ -327,6 +327,27 @@ pub struct MissRecord {
     pub phases: PhaseBreakdown,
 }
 
+/// Files `record` into `worst`, the digest so far: at most
+/// [`TOP_MISSES`] records, largest overshoot first and then lowest id. The
+/// order is total (ids are unique), so the digest equals sorting every
+/// miss and keeping the first [`TOP_MISSES`], without holding or sorting
+/// them all.
+fn keep_worst(worst: &mut Vec<MissRecord>, record: MissRecord) {
+    let at = worst.partition_point(|m| {
+        m.overshoot_ms
+            .total_cmp(&record.overshoot_ms)
+            .reverse()
+            .then(m.id.cmp(&record.id))
+            .is_lt()
+    });
+    if at < TOP_MISSES {
+        if worst.len() == TOP_MISSES {
+            worst.pop();
+        }
+        worst.insert(at, record);
+    }
+}
+
 /// Per-model phase aggregation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ModelAttribution {
@@ -683,7 +704,8 @@ impl AttributionBuilder {
             std::array::from_fn(|_| LogHistogram::default());
         let mut totals = PhaseBreakdown::default();
         let mut miss_causes = [0u64; 5];
-        let mut misses: Vec<MissRecord> = Vec::new();
+        // The digest so far: at most TOP_MISSES records in digest order.
+        let mut misses: Vec<MissRecord> = Vec::with_capacity(TOP_MISSES);
 
         for (id, e) in self.live.iter().enumerate() {
             let Some(outcome) = e.outcome else {
@@ -725,18 +747,21 @@ impl AttributionBuilder {
                     h.record(v.max(0.0));
                 }
                 if outcome == RequestOutcome::Completed {
-                    misses.push(MissRecord {
-                        id: r.id,
-                        model: r.model,
-                        arrival_ms: r.arrival_ms,
-                        end_ms: r.end_ms,
-                        latency_ms: r.latency_ms(),
-                        slo_ms: r.slo_ms,
-                        overshoot_ms: r.latency_ms() - r.slo_ms,
-                        cause: classify_miss(outcome, &r.phases),
-                        dominant: r.phases.dominant(),
-                        phases: r.phases,
-                    });
+                    keep_worst(
+                        &mut misses,
+                        MissRecord {
+                            id: r.id,
+                            model: r.model,
+                            arrival_ms: r.arrival_ms,
+                            end_ms: r.end_ms,
+                            latency_ms: r.latency_ms(),
+                            slo_ms: r.slo_ms,
+                            overshoot_ms: r.latency_ms() - r.slo_ms,
+                            cause: classify_miss(outcome, &r.phases),
+                            dominant: r.phases.dominant(),
+                            phases: r.phases,
+                        },
+                    );
                 }
             }
             requests.push(r);
@@ -765,13 +790,6 @@ impl AttributionBuilder {
             })
             .collect();
         per_model.sort_by_key(|m| m.model.name());
-
-        misses.sort_by(|a, b| {
-            b.overshoot_ms
-                .total_cmp(&a.overshoot_ms)
-                .then(a.id.cmp(&b.id))
-        });
-        misses.truncate(TOP_MISSES);
 
         let dominant_at = |stats: &[LatencyStats; PHASES], pick: fn(&LatencyStats) -> f64| {
             let mut best: Option<(Phase, f64)> = None;
@@ -1012,6 +1030,42 @@ mod tests {
         assert_eq!(r.miss_causes[MissCause::Fault.index()], 1);
         // Sheds and losts never enter the completed-miss digest.
         assert!(r.top_misses.is_empty());
+
+        // More completed misses than the digest keeps, beside a shed and an
+        // on-time completion: it holds the worst TOP_MISSES by overshoot,
+        // and equal overshoots (one tie straddles the cut) go to the lower
+        // id.
+        let overshoots = [5.0, 3.0, 5.0, 1.0, 7.0, 3.0, 5.0, 2.0, 9.0, 3.0, 4.0, 6.0];
+        let mut b = AttributionBuilder::new();
+        for (id, &over) in overshoots.iter().enumerate() {
+            let (id, t0) = (id as u64, id as f64);
+            b.admit(id, ModelKind::Mld, t0, 10.0, t0);
+            b.join(id, t0, t0, 0.0, 0.0);
+            b.complete(id, t0 + 10.0 + over, 0.0, 0.0, true);
+        }
+        b.shed(12, ModelKind::Dit, 12.0, 10.0, 50.0);
+        b.admit(13, ModelKind::Mld, 13.0, 10.0, 13.0);
+        b.join(13, 13.0, 13.0, 0.0, 0.0);
+        b.complete(13, 20.0, 0.0, 0.0, false);
+        let r = b.finish();
+        let digest: Vec<(u64, f64)> = r
+            .top_misses
+            .iter()
+            .map(|m| (m.id, m.overshoot_ms))
+            .collect();
+        assert_eq!(
+            digest,
+            [
+                (8, 9.0),
+                (4, 7.0),
+                (11, 6.0),
+                (0, 5.0),
+                (2, 5.0),
+                (6, 5.0),
+                (10, 4.0),
+                (1, 3.0)
+            ]
+        );
     }
 
     #[test]

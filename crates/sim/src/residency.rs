@@ -538,6 +538,84 @@ mod tests {
     }
 
     #[test]
+    fn evictions_follow_the_policy_after_removal_reorders_storage() {
+        let shard = |model| GscObject::WeightShard { model, shard: 0 };
+        let (pinned, a, b, c) = (
+            shard(ModelKind::Mld),
+            shard(ModelKind::Mdm),
+            shard(ModelKind::Edge),
+            shard(ModelKind::Dit),
+        );
+        let (d, e) = (
+            shard(ModelKind::StableDiffusion),
+            shard(ModelKind::VideoCrafter2),
+        );
+        let (l1, l2) = (GscObject::Latent(1), GscObject::Latent(2));
+        for policy in [EvictionPolicy::Lru, EvictionPolicy::CostAware] {
+            let mut gsc = GscCache::new(20 * MIB, policy);
+            let mut request = |obj, bytes, cost| {
+                let out = gsc.request(obj, bytes, cost, obj == pinned);
+                assert!(gsc.occupancy_bytes() <= gsc.capacity_bytes());
+                out.evicted
+            };
+            // Touch order is request order; refill costs rank otherwise.
+            request(pinned, 4 * MIB, 9.0);
+            request(a, 3 * MIB, 5.0);
+            request(l1, 2 * MIB, 0.3);
+            request(b, 3 * MIB, 1.0);
+            request(l2, 4 * MIB, 0.2);
+            request(c, 3 * MIB, 4.0);
+            // Dropping a middle entry swaps the last one into its slot.
+            assert_eq!(gsc.remove(l1), 2 * MIB);
+            assert_eq!(gsc.remove(l1), 0);
+            assert_eq!(gsc.resident_bytes(c), 3 * MIB);
+            assert_eq!(gsc.occupancy_bytes(), 17 * MIB);
+            let mut request = |obj, bytes, cost| {
+                let out = gsc.request(obj, bytes, cost, false);
+                assert!(gsc.occupancy_bytes() <= gsc.capacity_bytes());
+                out.evicted
+            };
+            // Two new shards, then the last-stored one grows: a victim
+            // leaving whole moves it to another slot mid-request.
+            let evicted = [
+                request(d, 10 * MIB, 2.0),
+                request(e, 5 * MIB, 3.0),
+                request(e, 10 * MIB, 3.0),
+            ];
+            // Resident bytes of [pinned, a, b, c, d, e, l1, l2] afterwards.
+            let (expected, resident) = match policy {
+                // Least recently touched first: the latent leaves whole
+                // where 1 MiB would do, and shards shrink by what is
+                // missing.
+                EvictionPolicy::Lru => (
+                    [
+                        vec![(a, 3 * MIB), (b, 3 * MIB), (l2, 4 * MIB)],
+                        vec![(c, 2 * MIB)],
+                        vec![(c, MIB), (d, 4 * MIB)],
+                    ],
+                    [4, 0, 0, 0, 6, 10, 0, 0],
+                ),
+                // Cheapest to refill first, whatever the touch order.
+                EvictionPolicy::CostAware => (
+                    [
+                        vec![(l2, 4 * MIB), (b, 3 * MIB)],
+                        vec![(d, 5 * MIB)],
+                        vec![(d, 5 * MIB)],
+                    ],
+                    [4, 3, 0, 3, 0, 10, 0, 0],
+                ),
+            };
+            assert_eq!(evicted, expected, "{}", policy.name());
+            let held = [pinned, a, b, c, d, e, l1, l2].map(|o| gsc.resident_bytes(o) / MIB);
+            assert_eq!(held, resident, "{}", policy.name());
+            assert_eq!(gsc.occupancy_bytes(), 20 * MIB);
+            assert_eq!(gsc.requests(), 9);
+            let count: usize = expected.iter().map(Vec::len).sum();
+            assert_eq!(gsc.evictions(), count as u64);
+        }
+    }
+
+    #[test]
     fn evicted_latents_leave_whole() {
         let mut gsc = GscCache::new(10 * MIB, EvictionPolicy::Lru);
         let parked = GscObject::Latent(1);
