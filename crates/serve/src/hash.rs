@@ -11,7 +11,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 pub(crate) type FxHashMap<K, V> = std::collections::HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
 /// Folds each machine word into the state as `(h.rotl(5) ^ w) · K`.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Default)]
 pub(crate) struct FxHasher {
     hash: u64,
 }
@@ -33,11 +33,6 @@ impl Hasher for FxHasher {
             word[..chunk.len()].copy_from_slice(chunk);
             self.add(u64::from_le_bytes(word));
         }
-    }
-
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.add(i.into());
     }
 
     #[inline]
