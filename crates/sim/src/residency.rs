@@ -137,9 +137,7 @@ pub struct GscCache {
     capacity: u64,
     policy: EvictionPolicy,
     /// The resident entries, in no meaningful order (removal swaps the last
-    /// entry into the hole). A cache holds a few weight shards and parked
-    /// latents, and every request already sums all of them, so finding an
-    /// entry by a scan costs less than hashing its key would.
+    /// entry into the hole); see the module docs for why a scanned `Vec`.
     entries: Vec<(GscObject, Entry)>,
     tick: u64,
     hit_bytes: u64,
