@@ -1,17 +1,19 @@
-//! Criterion bench of the scheduler's per-boundary decision cost at queue
-//! depth 16 / 1k / 16k: the indexed admission path (`Gang::admit` on a
-//! replica unit, bucket argmins + bounded preempt/swap scans) against the
-//! retained linear-scan reference (`Instance::admit_reference` on the
-//! unit's leader), plus the indexed path on a TP=2 gang, whose iterations
-//! price and combine two shards. Each sample clones a prebuilt (unit,
-//! queue) pair once and then runs a burst of boundary decisions (admit +
-//! execute), so the clone amortizes and the measured delta is the decision
-//! path itself. Numbers are recorded in `crates/bench/benches/README.md`.
+//! Bench of the scheduler's per-boundary decision cost at queue depth 16 /
+//! 1k / 16k: the indexed admission path (`Gang::admit` on a replica unit,
+//! bucket argmins + bounded preempt/swap scans) against the retained
+//! linear-scan reference (`Instance::admit_reference` on the unit's
+//! leader), plus the indexed path on a TP=2 gang, whose iterations price
+//! and combine two shards. Each sample clones a prebuilt (unit, queue) pair
+//! once and then runs a burst of boundary decisions (admit + execute), so
+//! the clone amortizes and the measured delta is the decision path itself.
+//! Run with `cargo bench -p exion-bench --bench scheduler_hot_path`; it
+//! prints the mean time of each of the nine cases. Numbers are recorded in
+//! `crates/bench/benches/README.md`.
 
 use std::hint::black_box;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use exion_model::config::{ModelConfig, ModelKind};
 use exion_serve::{
     policy, AdmitOutcome, CostModel, Gang, PartitionStrategy, ReadyQueue, Request, SchedContext,
@@ -83,41 +85,44 @@ fn burst(
     queue.len()
 }
 
-fn bench_decision_cost(c: &mut Criterion) {
-    let mut group = c.benchmark_group("scheduler_hot_path");
-    group.sample_size(10);
+/// Times one case: a warm-up call, then a batch sized to about 50 ms and
+/// capped at 1,000 calls, and prints the batch's mean time per call.
+fn time_case(label: &str, mut routine: impl FnMut() -> usize) {
+    let start = Instant::now();
+    black_box(routine());
+    let once = start.elapsed().max(Duration::from_nanos(1));
+    let calls = (Duration::from_millis(50).as_nanos() / once.as_nanos()).clamp(1, 1000) as u32;
+    let start = Instant::now();
+    for _ in 0..calls {
+        black_box(routine());
+    }
+    let mean_us = start.elapsed().as_secs_f64() * 1e6 / f64::from(calls);
+    println!("bench scheduler_hot_path/{label:<20} {mean_us:>12.2} µs/iter");
+}
+
+fn main() {
     let policy = policy::by_name("preemptive-edf").expect("builtin");
     let tp2 = PartitionStrategy::Tensor { ways: 2 };
     let ctx = ctx_for(policy.clone(), PartitionStrategy::Replicated);
     let gang_ctx = ctx_for(policy, tp2);
     let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
-    for &depth in &[16usize, 1_000, 16_000] {
+    for depth in [16usize, 1_000, 16_000] {
         let seed = seed_state(&ctx, depth, PartitionStrategy::Replicated);
-        group.bench_with_input(BenchmarkId::new("indexed", depth), &depth, |b, _| {
-            b.iter(|| {
-                black_box(burst(&seed, &ctx, &mut cost, |unit, queue| {
-                    unit.admit(queue, &ctx)
-                }))
+        time_case(&format!("indexed/{depth}"), || {
+            burst(&seed, &ctx, &mut cost, |unit, queue| {
+                unit.admit(queue, &ctx)
             })
         });
-        group.bench_with_input(BenchmarkId::new("reference", depth), &depth, |b, _| {
-            b.iter(|| {
-                black_box(burst(&seed, &ctx, &mut cost, |unit, queue| {
-                    unit.members[0].admit_reference(queue, &ctx, &mut [])
-                }))
+        time_case(&format!("reference/{depth}"), || {
+            burst(&seed, &ctx, &mut cost, |unit, queue| {
+                unit.members[0].admit_reference(queue, &ctx, &mut [])
             })
         });
         let gang_seed = seed_state(&gang_ctx, depth, tp2);
-        group.bench_with_input(BenchmarkId::new("tp2_gang", depth), &depth, |b, _| {
-            b.iter(|| {
-                black_box(burst(&gang_seed, &gang_ctx, &mut cost, |unit, queue| {
-                    unit.admit(queue, &gang_ctx)
-                }))
+        time_case(&format!("tp2_gang/{depth}"), || {
+            burst(&gang_seed, &gang_ctx, &mut cost, |unit, queue| {
+                unit.admit(queue, &gang_ctx)
             })
         });
     }
-    group.finish();
 }
-
-criterion_group!(benches, bench_decision_cost);
-criterion_main!(benches);

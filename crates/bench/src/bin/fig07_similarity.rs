@@ -1,4 +1,5 @@
-//! Regenerates the paper artifact `fig07_similarity` (see DESIGN.md §4).
+//! Regenerates the paper artifact `fig07_similarity`, documented in
+//! [`exion_bench::experiments::fig07_similarity`].
 
 fn main() {
     print!("{}", exion_bench::experiments::fig07_similarity::run());

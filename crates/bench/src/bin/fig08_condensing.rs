@@ -1,4 +1,5 @@
-//! Regenerates the paper artifact `fig08_condensing` (see DESIGN.md §4).
+//! Regenerates the paper artifact `fig08_condensing`, documented in
+//! [`exion_bench::experiments::fig08_condensing`].
 
 fn main() {
     print!("{}", exion_bench::experiments::fig08_condensing::run());

@@ -1,4 +1,5 @@
-//! Regenerates the paper artifact `fig15_tslod` (see DESIGN.md §4).
+//! Regenerates the paper artifact `fig15_tslod`, documented in
+//! [`exion_bench::experiments::fig15_tslod`].
 
 fn main() {
     print!("{}", exion_bench::experiments::fig15_tslod::run());

@@ -1,4 +1,5 @@
-//! Regenerates the paper artifact `fig17_conmerge_eff` (see DESIGN.md §4).
+//! Regenerates the paper artifact `fig17_conmerge_eff`, documented in
+//! [`exion_bench::experiments::fig17_conmerge_eff`].
 
 fn main() {
     print!("{}", exion_bench::experiments::fig17_conmerge_eff::run());

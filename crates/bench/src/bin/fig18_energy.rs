@@ -1,4 +1,5 @@
-//! Regenerates the paper artifact `fig18_energy` (see DESIGN.md §4).
+//! Regenerates the paper artifact `fig18_energy`, documented in
+//! [`exion_bench::experiments::fig18_energy`].
 
 fn main() {
     print!("{}", exion_bench::experiments::fig18_energy::run());

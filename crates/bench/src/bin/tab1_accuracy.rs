@@ -1,4 +1,5 @@
-//! Regenerates the paper artifact `tab1_accuracy` (see DESIGN.md §4).
+//! Regenerates the paper artifact `tab1_accuracy`, documented in
+//! [`exion_bench::experiments::tab1_accuracy`].
 
 fn main() {
     print!("{}", exion_bench::experiments::tab1_accuracy::run());

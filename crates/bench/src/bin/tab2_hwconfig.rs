@@ -1,4 +1,5 @@
-//! Regenerates the paper artifact `tab2_hwconfig` (see DESIGN.md §4).
+//! Regenerates the paper artifact `tab2_hwconfig`, documented in
+//! [`exion_bench::experiments::tab2_hwconfig`].
 
 fn main() {
     print!("{}", exion_bench::experiments::tab2_hwconfig::run());

@@ -1,4 +1,5 @@
-//! Regenerates the paper artifact `tab3_power_area` (see DESIGN.md §4).
+//! Regenerates the paper artifact `tab3_power_area`, documented in
+//! [`exion_bench::experiments::tab3_power_area`].
 
 fn main() {
     print!("{}", exion_bench::experiments::tab3_power_area::run());

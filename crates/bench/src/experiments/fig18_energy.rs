@@ -7,7 +7,7 @@
 
 use exion_gpu::diffusion_cost::estimate_generation;
 use exion_gpu::GpuSpec;
-use exion_model::config::{ModelConfig, ModelKind, NetworkType};
+use exion_model::config::{ModelConfig, ModelKind};
 use exion_sim::config::HwConfig;
 use exion_sim::perf::{simulate_model, SimAblation};
 
@@ -144,11 +144,6 @@ pub fn run() -> String {
         &server,
     ));
     out
-}
-
-/// Whether a benchmark contains ResBlocks (EP/FFNR don't help those).
-pub fn has_resblocks(kind: ModelKind) -> bool {
-    ModelConfig::for_kind(kind).network == NetworkType::UNetRes
 }
 
 #[cfg(test)]

@@ -1,4 +1,5 @@
-//! One module per table/figure of the paper's evaluation (DESIGN.md §4).
+//! One module per table/figure of the paper's evaluation, named after it
+//! (`fig18_energy` is Fig. 18), plus `serve_sweep`, the serving experiments.
 //!
 //! Every module exposes `compute(...)` (structured results, used by
 //! integration tests with reduced iteration caps) and `run()` (the full

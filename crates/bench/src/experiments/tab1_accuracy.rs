@@ -2,7 +2,7 @@
 //!
 //! The paper's dataset metrics (FID/IS/R-Precision/FAD/…) require the
 //! pre-trained models and datasets; the reproduction uses the relative
-//! metrics described in DESIGN.md §1: PSNR against the vanilla pipeline
+//! metrics of [`exion_tensor::stats`]: PSNR against the vanilla pipeline
 //! (Table I's own "PSNR w/ Vanil." columns), cosine similarity, and a
 //! proxy-FID (Fréchet distance over random-projection features) between the
 //! vanilla output distribution and each ablation's.
@@ -104,8 +104,8 @@ fn normalized_fid(reference: &Matrix, generated: &Matrix) -> f64 {
 /// Renders the table.
 pub fn render(cells: &[Cell]) -> String {
     let mut out = String::from(
-        "Table I — Model accuracy evaluation (relative metrics vs vanilla; see DESIGN.md for\n\
-         the dataset-metric substitution). Paper reports trivial degradation for all methods.\n\n",
+        "Table I — Model accuracy evaluation (relative metrics vs vanilla stand in for the\n\
+         dataset metrics). Paper reports trivial degradation for all methods.\n\n",
     );
     let rows: Vec<Vec<String>> = cells
         .iter()

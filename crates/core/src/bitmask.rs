@@ -6,13 +6,12 @@
 //! operates entirely on bitmask algebra (Fig. 14).
 
 use exion_tensor::Matrix;
-use serde::{Deserialize, Serialize};
 
 /// A dense `rows × cols` bitmask packed into 64-bit words, row-major.
 ///
 /// Bit convention follows the paper: `1` marks **non-sparse** data (must be
 /// computed / kept), `0` marks **sparse** data (skipped / reused).
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Bitmask2D {
     rows: usize,
     cols: usize,

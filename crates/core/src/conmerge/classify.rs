@@ -10,12 +10,10 @@
 //! The result is a *coarse* sort — "not completely but in a coarse manner,
 //! which is sufficient to increase the success ratio of merging".
 
-use serde::{Deserialize, Serialize};
-
 use super::merge::ColumnEntry;
 
 /// The SortBuffer's five sparsity classes, densest first.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum SparsityClass {
     /// ≥ 75% of rows set.
     HighDense,

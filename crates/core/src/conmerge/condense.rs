@@ -5,12 +5,10 @@
 //! in the MMUL proportionally … Moreover, it decreases the required external
 //! memory accesses for fetching weight data."
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitmask::Bitmask2D;
 
 /// Outcome of global condensing over a full output bitmask.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CondenseStats {
     /// Original column count.
     pub total: usize,

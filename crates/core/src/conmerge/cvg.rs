@@ -17,8 +17,6 @@
 
 use std::collections::VecDeque;
 
-use serde::{Deserialize, Serialize};
-
 use super::classify::SortBuffer;
 use super::merge::{Block, ColumnEntry, MergedBlock};
 
@@ -27,7 +25,7 @@ use super::merge::{Block, ColumnEntry, MergedBlock};
 const FAILED_ATTEMPT_PENALTY: u64 = 4;
 
 /// Result of generating ConMerge vectors for one row-tile.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CvgResult {
     /// The merged blocks the SDUE will execute, in schedule order.
     pub merged_blocks: Vec<MergedBlock>,
@@ -53,7 +51,7 @@ impl CvgResult {
 }
 
 /// Per-tile ConMerge vector generator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VectorGenerator {
     height: usize,
     width: usize,

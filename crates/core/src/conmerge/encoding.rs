@@ -12,8 +12,6 @@
 //! The encoding here packs those fields exactly, so the 50 kB CVMEM budget of
 //! the paper's configuration can be checked against real schedules.
 
-use serde::{Deserialize, Serialize};
-
 use super::merge::MergedBlock;
 
 /// Raised when a merged block cannot be represented in the hardware's field
@@ -35,7 +33,7 @@ impl std::error::Error for EncodeVectorsError {}
 pub const COL_ORIGIN_BITS: u32 = 10;
 
 /// Packed ConMerge vectors of one merged block.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EncodedVectors {
     height: usize,
     width: usize,

@@ -18,11 +18,9 @@
 //! is resolved first, pairing its first conflict with its first compatible
 //! empty slot.
 
-use serde::{Deserialize, Serialize};
-
 /// One output column of a row-tile: its original weight-column index and its
 /// packed row bitmask (bit `i` = row `i` must be computed).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColumnEntry {
     /// Original weight-column index (the CAU's 10-bit "Col. Origin Idx").
     pub origin: usize,
@@ -38,7 +36,7 @@ impl ColumnEntry {
 }
 
 /// Up to `width` column entries scheduled together on the DPU array.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     height: usize,
     cols: Vec<ColumnEntry>,
@@ -84,7 +82,7 @@ impl Block {
 }
 
 /// One DPU's work assignment inside a merged block.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Slot {
     /// Input row the DPU reads (its own lane row, or the CV row over the
     /// conflict line).
@@ -98,7 +96,7 @@ pub struct Slot {
 
 /// A (possibly multi-source) block mapped onto the DPU array, together with
 /// its ConMerge vectors: per-slot control maps and per-lane conflict vectors.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MergedBlock {
     height: usize,
     width: usize,

@@ -35,13 +35,11 @@ pub use cvg::{CvgResult, VectorGenerator};
 pub use encoding::{blocks_per_cvmem, EncodedVectors};
 pub use merge::{Block, ColumnEntry, MergedBlock, Slot};
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitmask::Bitmask2D;
 
 /// Configuration of the compaction pipeline, defaulting to the paper's
 /// EXION configuration (16×16 DPU array, sorted merging, two merge steps).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactionConfig {
     /// DPU-array height (rows per tile; IMEM/OMEM bank count). Max 64.
     pub tile_height: usize,
@@ -79,7 +77,7 @@ impl Default for CompactionConfig {
 }
 
 /// Aggregate result of compacting a whole output bitmask.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct CompactionReport {
     /// Number of row-tiles processed.
     pub tiles: usize,

@@ -8,7 +8,6 @@
 //! measurable.
 
 use exion_tensor::QuantMatrix;
-use serde::{Deserialize, Serialize};
 
 /// Position of the leading one bit of `x` (0 = LSB), or `None` for zero.
 ///
@@ -29,7 +28,7 @@ pub fn lod(x: u32) -> Option<u32> {
 }
 
 /// Leading-one detection depth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LodMode {
     /// Single-step LOD: keep only the leading one (the original EP of FACT).
     Single,
@@ -40,7 +39,7 @@ pub enum LodMode {
 }
 
 /// How one-hot partial terms are accumulated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AccumMode {
     /// Exact integer adds everywhere (reference).
     Exact,
@@ -53,7 +52,7 @@ pub enum AccumMode {
 
 /// A sign plus up to two leading-one exponents — the log-domain image of one
 /// integer operand.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LogOperand {
     /// Sign: -1, 0, or +1.
     pub sign: i8,
@@ -184,7 +183,7 @@ pub fn log_dot(a: &[i32], b: &[i32], mode: LodMode, accum: AccumMode) -> i64 {
 
 /// An integer score matrix produced by log-domain MMUL, with enough range for
 /// INT12 × INT12 × long-reduction accumulations.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LogScores {
     rows: usize,
     cols: usize,

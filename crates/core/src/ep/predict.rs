@@ -7,7 +7,6 @@
 
 use exion_tensor::softmax::softmax_row_inplace;
 use exion_tensor::{ops, Matrix, QuantMatrix};
-use serde::{Deserialize, Serialize};
 
 use crate::bitmask::Bitmask2D;
 use crate::ep::logdomain::{log_matmul_transpose_b, AccumMode, LodMode};
@@ -15,7 +14,7 @@ use crate::sparsity::OpCounts;
 
 /// Eager-prediction configuration (the paper's Table I per-model `q_th` and
 /// `k` values).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpConfig {
     /// Dominance threshold, in real score units: if the predicted row maximum
     /// exceeds the runner-up by more than `q_th`, the row's computation is
@@ -55,7 +54,7 @@ impl Default for EpConfig {
 
 /// Statistics of one prediction (the paper's intra-iteration sparsity and
 /// projection-skip percentages).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EpStats {
     /// Fraction of attention-score elements whose real-domain computation is
     /// skipped (zeroed by top-k or covered by a one-hot row) — the paper's
@@ -71,7 +70,7 @@ pub struct EpStats {
 
 /// The outcome of eager prediction: what the real-domain attention pass must
 /// still compute.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttentionPlan {
     keep: Bitmask2D,
     one_hot: Vec<Option<usize>>,

@@ -23,7 +23,6 @@
 //! magnitudes.
 
 use exion_tensor::{activation, ops, Activation, Matrix};
-use serde::{Deserialize, Serialize};
 
 use crate::bitmask::Bitmask2D;
 use crate::sparsity::OpCounts;
@@ -159,7 +158,7 @@ impl FfnWeights {
 }
 
 /// Configuration of the FFN-Reuse schedule for one FFN layer pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FfnReuseConfig {
     /// Bitmask threshold: activation magnitudes above it are recomputed every
     /// iteration; values at or below it are reused. When `target_sparsity` is
@@ -239,7 +238,7 @@ pub fn calibrate_threshold(h: &Matrix, target_sparsity: f64) -> f32 {
 }
 
 /// Whether an iteration ran dense or sparse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum IterationKind {
     /// Full computation; bitmask and partial sums are (re)generated.
     Dense,
@@ -248,7 +247,7 @@ pub enum IterationKind {
 }
 
 /// Per-iteration report of the reuse engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FfnIterationReport {
     /// Dense or sparse iteration.
     pub kind: IterationKind,
@@ -312,12 +311,6 @@ impl FfnReuseEngine {
     /// The active configuration.
     pub fn config(&self) -> FfnReuseConfig {
         self.config
-    }
-
-    /// Replaces the threshold (e.g. per-iteration-group calibration) without
-    /// disturbing the schedule.
-    pub fn set_threshold(&mut self, threshold: f32) {
-        self.config.threshold = threshold;
     }
 
     /// The current bitmask, if a dense iteration has run.
@@ -442,7 +435,7 @@ impl FfnReuseEngine {
 
 /// Aggregates iteration reports over a full diffusion run into the paper's
 /// Fig. 6 table quantities.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct FfnReuseSummary {
     /// Number of dense iterations.
     pub dense_iterations: usize,

@@ -1,9 +1,7 @@
 //! Shared sparsity and operation-count bookkeeping.
 
-use serde::{Deserialize, Serialize};
-
 /// Zero / total element counters with a sparsity accessor.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SparsityStats {
     /// Number of sparse (skipped / zero) elements.
     pub zero: u64,
@@ -42,7 +40,7 @@ impl SparsityStats {
 
 /// Multiply-accumulate operation counters: `performed` vs the `dense`
 /// baseline, giving the paper's "# of Ops reduction" percentages.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// MAC operations actually performed.
     pub performed: u64,

@@ -1,11 +1,9 @@
 //! Per-bank row-buffer state machines.
 
-use serde::{Deserialize, Serialize};
-
 use crate::timing::DramTiming;
 
 /// The row-buffer state of one DRAM bank.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct BankState {
     /// Currently open row, if any.
     pub open_row: Option<u64>,

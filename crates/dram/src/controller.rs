@@ -1,12 +1,10 @@
 //! Multi-channel DRAM controller with statistics and energy accounting.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bank::BankState;
 use crate::timing::DramTiming;
 
 /// Access statistics and derived energy.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DramStats {
     /// Bytes read.
     pub bytes_read: u64,

@@ -5,10 +5,8 @@
 //! modelling; the per-bit and activation energies here sit in the same
 //! ranges).
 
-use serde::{Deserialize, Serialize};
-
 /// Timing/energy parameters of one DRAM channel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DramTiming {
     /// Peak data bandwidth of one channel (GB/s).
     pub channel_gbps: f64,

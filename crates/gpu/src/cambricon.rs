@@ -14,10 +14,9 @@
 //! differential acceleration needs convolutions to shine.
 
 use exion_model::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 /// Analytical Cambricon-D accelerator model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CambriconD {
     /// Speedup of convolutional portions over the A100 baseline.
     pub conv_speedup: f64,

@@ -1,9 +1,7 @@
 //! GPU device specifications (paper Table II plus the A100 of Fig. 19(b)).
 
-use serde::{Deserialize, Serialize};
-
 /// Analytical GPU device model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuSpec {
     /// Device name.
     pub name: &'static str,

@@ -6,9 +6,10 @@
 //! Jetson Orin Nano with tegrastats, an A100 for the Cambricon-D comparison).
 //! Physical GPUs are not available here, so this crate substitutes documented
 //! roofline models parameterized with the paper's own Table II specifications
-//! plus standard inference derates (see DESIGN.md §1): per-kernel launch
-//! overhead, achievable-compute and achievable-bandwidth efficiencies, and a
-//! utilization-scaled power model between idle and TDP.
+//! plus standard inference derates: per-kernel launch overhead,
+//! achievable-compute and achievable-bandwidth efficiencies, and a
+//! utilization-scaled power model between idle and TDP ([`GpuSpec`] carries
+//! each device's derates, [`roofline`] applies them).
 //!
 //! * [`device`] — Table II device specs (RTX 6000 Ada, Jetson Orin Nano,
 //!   A100),

@@ -1,11 +1,9 @@
 //! Kernel-granularity roofline latency and energy estimation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::device::GpuSpec;
 
 /// One GPU kernel's work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Kernel {
     /// Floating-point operations (2 per MAC).
     pub flops: f64,
@@ -47,7 +45,7 @@ impl Kernel {
 }
 
 /// Aggregate cost of a GPU run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct GpuRunCost {
     /// Total latency (ms).
     pub latency_ms: f64,

@@ -5,8 +5,11 @@
 //! The paper evaluates on seven pre-trained diffusion models (MLD, MDM, EDGE,
 //! Make-an-Audio, Stable Diffusion, DiT, VideoCrafter2). Those checkpoints and
 //! their Python runtimes are not available here, so this crate implements the
-//! *architectural* equivalent from scratch (see DESIGN.md §1 for the
-//! substitution argument):
+//! *architectural* equivalent from scratch, with seeded weights: the same
+//! topologies, block structure and DDIM loop, which is what the op counts,
+//! the sparsity mechanisms and the cycle-level simulator read. Accuracy is
+//! measured against the same model's unoptimized run
+//! ([`exion_tensor::stats`]), not against published dataset scores:
 //!
 //! * [`config`] — the seven benchmark configurations, each with *paper-scale*
 //!   dimensions (analytic op counting, Fig. 4) and *sim-scale* dimensions

@@ -6,12 +6,10 @@
 //! transformer block because diffusion token lengths are short. The counts
 //! here follow the standard convention of 2 ops (multiply + add) per MAC.
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::{ModelConfig, ScaleParams};
 
 /// Per-iteration operation counts of one model.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpBreakdown {
     /// Q/K/V and output projections.
     pub qkv: u64,

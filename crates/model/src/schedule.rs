@@ -1,9 +1,7 @@
 //! Diffusion noise schedules (forward process variances).
 
-use serde::{Deserialize, Serialize};
-
 /// Precomputed β / α / ᾱ tables of a diffusion forward process.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiffusionSchedule {
     betas: Vec<f32>,
     alphas: Vec<f32>,

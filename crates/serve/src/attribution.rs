@@ -53,7 +53,6 @@
 use exion_model::config::ModelKind;
 use exion_telemetry::json::{push_f64, push_str};
 use exion_telemetry::LogHistogram;
-use serde::{Deserialize, Serialize};
 
 use crate::metrics::LatencyStats;
 
@@ -66,7 +65,7 @@ pub const TOP_MISSES: usize = 8;
 
 /// One phase of a request's end-to-end latency (see the module docs for
 /// the taxonomy).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
     /// Arrival to the admission decision at the release boundary.
     Admission,
@@ -130,7 +129,7 @@ impl Phase {
 
 /// A conserved decomposition of one request's end-to-end latency: the ten
 /// phase values sum to `end − arrival` by construction.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PhaseBreakdown {
     /// Milliseconds per phase, indexed by [`Phase::index`].
     pub ms: [f64; PHASES],
@@ -174,7 +173,7 @@ impl PhaseBreakdown {
 }
 
 /// The terminal outcome of a request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RequestOutcome {
     /// Ran to completion.
     Completed,
@@ -197,7 +196,7 @@ impl RequestOutcome {
 
 /// Why a request missed its SLO (see the module docs for the
 /// classification rules).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissCause {
     /// Admission delay, queue wait, or batch-join wait dominated (or the
     /// request was shed outright).
@@ -274,7 +273,7 @@ pub fn classify_miss(outcome: RequestOutcome, phases: &PhaseBreakdown) -> MissCa
 }
 
 /// One request's finished attribution record.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RequestAttribution {
     /// Request identifier (arrival rank).
     pub id: u64,
@@ -303,7 +302,7 @@ impl RequestAttribution {
 
 /// One row of the SLO miss-forensics digest: a missed request with its
 /// full breakdown and classified cause.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MissRecord {
     /// Request identifier.
     pub id: u64,
@@ -349,7 +348,7 @@ fn keep_worst(worst: &mut Vec<MissRecord>, record: MissRecord) {
 }
 
 /// Per-model phase aggregation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModelAttribution {
     /// The model class.
     pub model: ModelKind,
@@ -364,7 +363,7 @@ pub struct ModelAttribution {
 
 /// The cluster-wide latency-attribution report carried by
 /// [`crate::ServeReport::attribution`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AttributionReport {
     /// Every request's finished record, in id (arrival) order.
     pub requests: Vec<RequestAttribution>,

@@ -415,6 +415,35 @@ mod tests {
     }
 
     #[test]
+    fn reschedule_unit_supersedes_the_live_entry_lazily() {
+        let mut cal = EventCalendar::new(2);
+        cal.schedule_unit(0, 3.0, EventKind::UnitBoundary);
+        cal.schedule_unit(1, 4.0, EventKind::IdleWake);
+        // Later: the 3.0 entry stays in the heap but never pops.
+        cal.reschedule_unit(0, 6.0, EventKind::UnitBoundary);
+        assert_eq!(cal.scheduled_units(), 2, "a reschedule is not a new unit");
+        assert!(cal.is_unit_scheduled(0));
+        assert_eq!(cal.min_unit_time_ms(), 4.0);
+        // The identical time and kind: two entries share one key, and the
+        // live one pops exactly once.
+        cal.reschedule_unit(1, 4.0, EventKind::IdleWake);
+        assert_eq!(cal.scheduled_units(), 2);
+        assert_eq!(cal.len(), 4, "superseded entries die lazily");
+        let wake = cal.pop().expect("unit 1");
+        assert_eq!(
+            (wake.at_ms, wake.unit, wake.kind),
+            (4.0, 1, EventKind::IdleWake)
+        );
+        assert_eq!(cal.scheduled_units(), 1);
+        assert_eq!(cal.min_unit_time_ms(), 6.0);
+        let boundary = cal.pop().expect("unit 0 at its new time");
+        assert_eq!((boundary.at_ms, boundary.unit), (6.0, 0));
+        assert!(cal.pop().is_none());
+        assert_eq!(cal.scheduled_units(), 0);
+        assert!(cal.min_unit_time_ms().is_infinite());
+    }
+
+    #[test]
     fn reset_units_invalidates_stale_entries_lazily() {
         let mut cal = EventCalendar::new(3);
         for u in 0..3 {

@@ -62,7 +62,7 @@ const MAX_GANG_DEGREE: usize = 64;
 /// plan is built against. Installed with
 /// [`ServeConfigBuilder::auto_placement`]; when present, the static
 /// [`ServeConfig::placement`] is ignored.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AutoPlacement {
     /// The optimizer and its re-planning knobs.
     pub planner: PlacementPlanner,

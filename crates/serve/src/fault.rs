@@ -1,7 +1,7 @@
 //! Seeded fault injection: chaos plans, failure semantics, and the
 //! checkpoint policy that bounds what a crash can destroy.
 //!
-//! A [`FaultPlan`] is a deterministic, serde-able list of failure events
+//! A [`FaultPlan`] is a deterministic, plain-data list of failure events
 //! the cluster loop schedules on its event calendar before the run
 //! starts. Three failure kinds are modeled:
 //!
@@ -30,12 +30,11 @@
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::trace::exp_sample;
 
 /// One scheduled failure.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// Injection time (ms into the run).
     pub at_ms: f64,
@@ -44,7 +43,7 @@ pub struct FaultSpec {
 }
 
 /// The failure kinds the injector models.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FaultKind {
     /// A whole scheduling unit crashes and rejoins `repair_ms` later.
     ///
@@ -93,7 +92,7 @@ impl FaultKind {
 /// priced transfer on its unit's clock). A crash then loses only the
 /// steps since the last checkpoint instead of the whole generation: the
 /// request requeues with `steps_done` rolled back to the checkpoint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CheckpointPolicy {
     /// Checkpoint cadence in denoising steps (≥ 1).
     pub every_steps: usize,
@@ -107,7 +106,7 @@ impl CheckpointPolicy {
 }
 
 /// A deterministic schedule of failures for one run.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// The scheduled failures, in any order (the calendar sorts them).
     pub events: Vec<FaultSpec>,

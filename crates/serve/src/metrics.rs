@@ -1,7 +1,6 @@
 //! Serving metrics: tail latency, goodput, utilization, energy per request.
 
 use exion_telemetry::LogHistogram;
-use serde::{Deserialize, Serialize};
 
 use crate::request::{Completion, LostRecord, ShedRecord};
 
@@ -25,7 +24,7 @@ pub fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// resolution) of the exact sorted-sample value; `mean`, `max`, and
 /// `count` are exact. When `count == 0` every field is 0.0 — check
 /// [`Self::is_empty`] to tell an empty sample from a real all-zero one.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyStats {
     /// Median (ms).
     pub p50: f64,
@@ -87,7 +86,7 @@ impl LatencyStats {
 }
 
 /// One named value inside a [`MetricsSnapshot`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricSample {
     /// Metric name: one of [`SERIES_COUNTERS`] or [`SERIES_GAUGES`].
     pub name: String,
@@ -97,7 +96,7 @@ pub struct MetricSample {
 
 /// The cluster's counters and gauges captured at one stats or epoch
 /// instant — the rows of [`ServeReport::series`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MetricsSnapshot {
     /// Simulated time of the snapshot (ms).
     pub at_ms: f64,
@@ -171,7 +170,7 @@ impl SeriesRecorder {
 }
 
 /// Per-instance accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstanceStats {
     /// Busy fraction of the instance's live window (the whole makespan for
     /// statically placed clusters; birth-to-retirement for units a
@@ -206,7 +205,7 @@ pub struct InstanceStats {
 
 /// Per-gang accounting: one row per scheduling unit (replica or sharded
 /// gang).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GangStats {
     /// Partition strategy label (`replicated`, `tp2`, `pp2`, …).
     pub strategy: String,
@@ -223,7 +222,7 @@ pub struct GangStats {
 }
 
 /// One epoch of the online re-planner's forecast tracking.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EpochStat {
     /// Epoch start (ms of simulated time).
     pub start_ms: f64,
@@ -238,7 +237,7 @@ pub struct EpochStat {
 }
 
 /// One executed re-plan: the placement switch and its priced migration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplanEvent {
     /// When the migration fired (ms of simulated time).
     pub at_ms: f64,
@@ -258,7 +257,7 @@ pub struct ReplanEvent {
 
 /// Planner accounting carried by a [`ServeReport`] when the cluster ran
 /// under auto-placement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerReport {
     /// The initial placement the offline pass chose.
     pub initial_placement: String,
@@ -295,7 +294,7 @@ impl PlannerReport {
 }
 
 /// One injected fault and what it destroyed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultRecord {
     /// When the fault fired (ms).
     pub at_ms: f64,
@@ -312,7 +311,7 @@ pub struct FaultRecord {
 
 /// Fault-injection accounting carried by a [`ServeReport`] when the run
 /// had a non-empty [`crate::fault::FaultPlan`].
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultReport {
     /// Fault-plan events that actually fired and hit live hardware.
     pub faults_injected: usize,
@@ -343,7 +342,7 @@ pub struct FaultReport {
 }
 
 /// The full report of one serving simulation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServeReport {
     /// Hardware instance name (e.g. `EXION4`).
     pub hw_name: String,
@@ -476,16 +475,6 @@ impl ServeReport {
             0.0
         } else {
             shed as f64 / (shed + served + lost) as f64
-        }
-    }
-
-    /// Fraction of arrivals destroyed by faults (0.0 without a fault
-    /// plan).
-    pub fn lost_rate(&self) -> f64 {
-        if self.arrivals == 0 {
-            0.0
-        } else {
-            self.lost_requests as f64 / self.arrivals as f64
         }
     }
 

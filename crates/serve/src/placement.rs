@@ -36,7 +36,7 @@ use crate::scheduler::{AdmitOutcome, Instance, SchedContext};
 /// How a cluster's instances are grouped: `replicas` single-instance
 /// whole-model units plus `gangs` sharded units of `strategy.degree()`
 /// members each, all pulling from one shared queue.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Placement {
     /// Whole-model single-instance units.
     pub replicas: usize,

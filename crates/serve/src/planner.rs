@@ -50,7 +50,6 @@ use exion_sim::config::HwConfig;
 use exion_sim::partition::{Interconnect, PartitionPlan, PartitionStrategy};
 use exion_sim::perf::IterationCost;
 use exion_sim::residency::latent_state_bytes;
-use serde::{Deserialize, Serialize};
 
 use crate::cost::CostModel;
 use crate::placement::Placement;
@@ -67,7 +66,7 @@ const OVERLOAD_LATENCY_FACTOR: f64 = 10.0;
 
 /// Configuration of the placement planner: the instance budget, the gang
 /// strategies worth considering, and the online re-planning knobs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlannerConfig {
     /// Hardware instances the placement may occupy in total.
     pub budget: usize,
@@ -125,7 +124,7 @@ impl PlannerConfig {
 }
 
 /// One scored placement candidate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CandidateScore {
     /// The placement scored.
     pub placement: Placement,
@@ -149,7 +148,7 @@ pub struct CandidateScore {
 
 /// What one planning pass produced: the chosen placement and the scored
 /// beam it won against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlanOutcome {
     /// The winning candidate.
     pub chosen: CandidateScore,
@@ -214,7 +213,7 @@ struct Projection {
 /// call [`Self::plan`]; the same planner object drives the cluster loop's
 /// epoch re-planning when installed through
 /// `ServeConfigBuilder::auto_placement`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PlacementPlanner {
     /// The planner's knobs.
     pub config: PlannerConfig,

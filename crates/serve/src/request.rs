@@ -1,13 +1,12 @@
 //! Generation requests and their lifecycle records.
 
 use exion_model::config::ModelKind;
-use serde::{Deserialize, Serialize};
 
 /// Monotone request identifier, assigned in arrival order.
 pub type RequestId = u64;
 
 /// One in-flight generation request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Request {
     /// Identifier (also the arrival rank).
     pub id: RequestId,
@@ -108,7 +107,7 @@ impl Request {
 }
 
 /// The immutable record of one finished request.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Completion {
     /// Request identifier.
     pub id: RequestId,
@@ -153,7 +152,7 @@ impl Completion {
 /// The record of one request refused (shed) at enqueue by admission
 /// control — the priced refusal: sheds count as SLO misses in the
 /// report's attainment, they just never consume machine time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ShedRecord {
     /// Request identifier.
     pub id: RequestId,
@@ -169,7 +168,7 @@ pub struct ShedRecord {
 /// resume from. Lost requests are the third terminal outcome next to
 /// completions and sheds — they count as SLO misses, and conservation
 /// extends to `served + shed + lost == arrivals`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LostRecord {
     /// Request identifier.
     pub id: RequestId,

@@ -10,12 +10,11 @@
 use exion_model::config::ModelKind;
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster::ConfigError;
 
 /// The arrival-process shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TrafficPattern {
     /// Memoryless arrivals at a constant rate (requests/second).
     Poisson {
@@ -135,7 +134,7 @@ impl TrafficPattern {
 /// generation at the deployment's batch size) on the target hardware into
 /// an absolute deadline, so one mix definition works across EXION4 and
 /// EXION24 instances.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadMix {
     /// `(model, weight, slo_multiplier)` triples; weights need not sum to 1.
     pub entries: Vec<(ModelKind, f64, f64)>,
@@ -226,7 +225,7 @@ impl WorkloadMix {
 }
 
 /// Full trace specification.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceConfig {
     /// Arrival-process shape.
     pub pattern: TrafficPattern,
@@ -295,7 +294,7 @@ impl TraceConfig {
 }
 
 /// One arrival event.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Arrival {
     /// Arrival time (ms).
     pub at_ms: f64,

@@ -7,12 +7,10 @@
 //! design the arithmetic units (ALUs) in CFSE to be configurable, either
 //! one-way 32-bit or two-way 16-bit for double throughput."
 
-use serde::{Deserialize, Serialize};
-
 use crate::config::DscGeometry;
 
 /// Special functions the CFSE executes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SpecialFunc {
     /// Row softmax (max-reduce, exp + sum-reduce, divide).
     Softmax,
@@ -37,7 +35,7 @@ impl SpecialFunc {
 }
 
 /// ALU width mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CfseWidth {
     /// One-way 32-bit.
     OneWay32,

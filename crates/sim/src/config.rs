@@ -1,10 +1,9 @@
 //! Hardware configurations (paper Table II and Fig. 11).
 
 use exion_dram::DramTiming;
-use serde::{Deserialize, Serialize};
 
 /// Geometry and clocking of one diffusion-sparsity-aware core (DSC).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DscGeometry {
     /// DPU array rows (= DPU lanes = IMEM/OMEM banks).
     pub array_rows: usize,
@@ -51,7 +50,7 @@ impl DscGeometry {
 }
 
 /// On-chip memory sizes of one DSC (Fig. 10/11).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemorySizes {
     /// IMEM per bank, bytes (double-buffered).
     pub imem_bank_bytes: usize,
@@ -83,7 +82,7 @@ impl MemorySizes {
 }
 
 /// A full accelerator instance: DSC count, clock, memories and DRAM.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HwConfig {
     /// Human-readable instance name.
     pub name: &'static str,
@@ -117,7 +116,7 @@ impl HwConfig {
             // The paper sizes EXION24's GSC at 64 MB; the edge instance's is
             // unspecified. The reported edge TOPS/W numbers are only
             // reachable compute-bound, i.e. with benchmark weights resident,
-            // so the same 64 MiB is assumed (documented in EXPERIMENTS.md).
+            // so the same 64 MiB is assumed.
             gsc_mib: 64.0,
             dsc_count: 4,
             clock_mhz: 800.0,

@@ -8,7 +8,6 @@
 //! times plus a small fill overhead.
 
 use exion_dram::{Dram, DramStats};
-use serde::{Deserialize, Serialize};
 
 use crate::cau::CauModel;
 use crate::cfse::CfseModel;
@@ -22,7 +21,7 @@ use crate::workload::{DscOp, IterationPlan};
 const ITERATION_FILL_CYCLES: f64 = 64.0;
 
 /// Accumulated per-engine busy cycles.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EngineBusy {
     /// SDUE busy cycles.
     pub sdue: f64,
@@ -50,7 +49,7 @@ pub(crate) struct PlanCycles {
 }
 
 /// Final report of a simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DscReport {
     /// Total elapsed cycles.
     pub total_cycles: f64,

@@ -16,10 +16,8 @@
 //! SDUE's datapath … addresses any remaining output sparsity after merging");
 //! a fixed leakage/idle fraction is always drawn.
 
-use serde::{Deserialize, Serialize};
-
 /// The engines of one DSC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Engine {
     /// Sparse-dense unified engine (the DPU array).
     Sdue,
@@ -92,7 +90,7 @@ pub const IDLE_POWER_FRACTION: f64 = 0.12;
 pub const SRAM_MM2_PER_MIB: f64 = 0.741;
 
 /// Per-DSC energy accumulator.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyAccumulator {
     /// Active (cycles × utilization) per engine, in cycle units.
     active_cycles: [f64; 6],

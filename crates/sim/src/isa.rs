@@ -11,12 +11,10 @@
 //! [`IterationPlan`] into a program, and the encoder/decoder round-trips
 //! bit-exactly, so INSTMEM capacity can be checked against real schedules.
 
-use serde::{Deserialize, Serialize};
-
 use crate::workload::{DscOp, IterationPlan};
 
 /// A decoded top-controller instruction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instruction {
     /// DMA a tile from GSC/DRAM into IMEM or WMEM (buffer-select in `buf`).
     Load {

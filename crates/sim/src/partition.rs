@@ -22,7 +22,6 @@
 //! (max + all-reduce for TP, sum + hand-offs for PP).
 
 use exion_model::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::config::HwConfig;
 use crate::perf::{flags_for_step, IterationCost, SimAblation, SimError};
@@ -30,7 +29,7 @@ use crate::residency::{model_weight_bytes, spec_weight_bytes};
 use crate::workload::{build_iteration_shard, ShardSpec, SparsityProfile};
 
 /// How a model is cut across the member instances of one serving gang.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PartitionStrategy {
     /// No cut: one instance holds (and executes) the whole model.
     Replicated,
@@ -71,7 +70,7 @@ impl PartitionStrategy {
 
 /// How the board fabric wires instances together — the shape of the links
 /// a gang's collectives run over.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Topology {
     /// A unidirectional ring: each member drives one link, every gang's
     /// traffic crosses the same shared segments. The cheap board layout —
@@ -100,7 +99,7 @@ impl Topology {
 /// energy relative to DRAM refills — the trade sharding monetizes. The
 /// [`Topology`] decides how many links a collective can drive at once and
 /// whether concurrent gangs contend for them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interconnect {
     /// Link bandwidth per direction (GB/s).
     pub link_gbps: f64,
@@ -165,7 +164,7 @@ pub struct Collective {
 
 /// One model's cut across a gang: per-shard execution specs, the exact
 /// byte partition of the weight working set, and the collective term.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartitionPlan {
     strategy: PartitionStrategy,
     interconnect: Interconnect,

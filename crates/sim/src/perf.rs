@@ -1,7 +1,6 @@
 //! End-to-end model simulation (the entry point of Figs. 18–19).
 
 use exion_model::config::ModelConfig;
-use serde::{Deserialize, Serialize};
 
 use crate::config::HwConfig;
 use crate::dsc::{DscReport, DscSimulator, PlanCycles};
@@ -10,7 +9,7 @@ use crate::partition::simulate_iteration_shard;
 use crate::workload::{build_iteration, IterationKindFlags, ShardSpec, SparsityProfile};
 
 /// The ablation axes of Fig. 18 (`EXIONx_Base` / `_EP` / `_FFNR` / `_All`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimAblation {
     /// No sparsity optimizations.
     Base,
@@ -93,7 +92,7 @@ impl std::error::Error for SimError {}
 
 /// End-to-end performance report of one (hardware, model, ablation, batch)
 /// point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PerfReport {
     /// Configuration name, e.g. `EXION24_All`.
     pub name: String,
@@ -155,7 +154,7 @@ pub(crate) fn flags_for_step(
 
 /// Cost of one denoising iteration on an accelerator instance — the
 /// per-iteration hook that request-level serving simulators batch against.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IterationCost {
     /// Iteration latency (ms).
     pub latency_ms: f64,

@@ -19,7 +19,6 @@
 //! its victim by distinct touch ticks, so the vector's order never shows.
 
 use exion_model::config::{ModelConfig, NetworkType};
-use serde::{Deserialize, Serialize};
 
 use crate::workload::{
     build_iteration_shard, DscOp, IterationKindFlags, ShardSpec, SparsityProfile,
@@ -39,7 +38,7 @@ pub fn partial_residency(capacity_bytes: f64, working_set_bytes: f64) -> f64 {
 }
 
 /// Identity of one cacheable object in the GSC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GscObject {
     /// One partition shard of a model's weights: the residency unit of
     /// every serving instance, whose footprint and refill cost come from
@@ -64,7 +63,7 @@ impl GscObject {
 }
 
 /// Which entry the cache sacrifices when capacity runs out.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EvictionPolicy {
     /// Least-recently-used: evict the entry untouched for longest.
     Lru,
@@ -167,11 +166,6 @@ impl GscCache {
     /// Summed resident bytes across entries.
     pub fn occupancy_bytes(&self) -> u64 {
         self.entries.iter().map(|(_, e)| e.bytes).sum()
-    }
-
-    /// Unoccupied bytes.
-    pub fn free_bytes(&self) -> u64 {
-        self.capacity.saturating_sub(self.occupancy_bytes())
     }
 
     /// Capacity a new entry could claim by evicting every unpinned entry:

@@ -5,10 +5,8 @@
 //! to hide the latency of data fetching but also to broadcast the required
 //! data to SDUE."
 
-use serde::{Deserialize, Serialize};
-
 /// Buffer replication of a banked memory.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Buffering {
     /// One buffer (no fetch/compute overlap).
     Single,
@@ -31,7 +29,7 @@ impl Buffering {
 }
 
 /// A banked, buffered scratch memory with access accounting.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BankedMemory {
     name: String,
     banks: usize,

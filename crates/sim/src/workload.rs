@@ -7,13 +7,12 @@
 //! `exion-core`'s ConMerge) or from the closed-form tile model.
 
 use exion_model::config::{NetworkType, ScaleParams};
-use serde::{Deserialize, Serialize};
 
 use crate::cfse::{CfseWidth, SpecialFunc};
 use crate::perf::SimError;
 
 /// Sparsity and compaction summary of one model under one ablation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparsityProfile {
     /// First-FFN-layer output sparsity at sparse iterations (FFN-Reuse).
     pub inter_sparsity: f64,
@@ -124,7 +123,7 @@ impl SparsityProfile {
 }
 
 /// One MMUL's descriptor.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MmulDesc {
     /// Output rows.
     pub m: u64,
@@ -183,7 +182,7 @@ impl MmulDesc {
 }
 
 /// One unit of DSC work.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum DscOp {
     /// An MMUL on the SDUE.
     Mmul(MmulDesc),
@@ -218,7 +217,7 @@ pub enum DscOp {
 
 /// The op list of one diffusion iteration plus its dense-equivalent MAC
 /// count (the numerator of effective TOPS).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationPlan {
     /// Ops in schedule order.
     pub ops: Vec<DscOp>,
@@ -236,7 +235,7 @@ pub const RESBLOCKS_PER_ITERATION: usize = 2;
 /// ResBlock share). [`ShardSpec::full`] reproduces the unpartitioned plan
 /// bit-identically, so [`build_iteration`] is the degenerate case of
 /// [`build_iteration_shard`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSpec {
     /// Tensor-parallel ways (1 = unsplit).
     pub tp_ways: u32,
@@ -293,7 +292,7 @@ impl ShardSpec {
 }
 
 /// Flags selecting which optimizations are active for an iteration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IterationKindFlags {
     /// FFN-Reuse enabled and this is a *sparse* iteration.
     pub ffn_sparse: bool,

@@ -5,8 +5,6 @@
 //! non-linear layer (e.g., GELU or GEGLU)" (Section III-A), so both variants
 //! are provided, plus SiLU and ReLU for the UNet-style benchmarks.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Matrix;
 
 /// Gaussian Error Linear Unit (tanh approximation, as used by GPT-style
@@ -41,7 +39,7 @@ pub fn relu(x: f32) -> f32 {
 /// the activation output is `gelu(a) ⊙ b` over the split halves (Shazeer,
 /// "GLU Variants Improve Transformer", 2020). Stable Diffusion's transformer
 /// blocks use GEGLU, the other benchmarks use GELU.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Activation {
     /// Plain GELU over every element.
     Gelu,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
-use serde::{Deserialize, Serialize};
-
 /// A dense row-major matrix of `f32` values.
 ///
 /// `Matrix` is deliberately small and concrete: the EXION workloads only ever
@@ -21,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(m[(0, 1)], 1.0);
 /// assert_eq!(m.rows(), 2);
 /// ```
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
@@ -129,16 +127,6 @@ impl Matrix {
         &self.data
     }
 
-    /// Mutably borrows the underlying row-major data.
-    pub fn as_mut_slice(&mut self) -> &mut [f32] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix and returns the underlying row-major data.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Borrows row `r` as a slice.
     ///
     /// # Panics
@@ -188,13 +176,6 @@ impl Matrix {
             rows: self.rows,
             cols: self.cols,
             data: self.data.iter().map(|&x| f(x)).collect(),
-        }
-    }
-
-    /// Applies `f` to every element in place.
-    pub fn map_inplace(&mut self, f: impl Fn(f32) -> f32) {
-        for x in &mut self.data {
-            *x = f(*x);
         }
     }
 

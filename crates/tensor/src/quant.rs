@@ -7,12 +7,10 @@
 //! 12/16/32-bit widths and an integer MMUL with 32-bit accumulation that
 //! mirrors the SDUE datapath.
 
-use serde::{Deserialize, Serialize};
-
 use crate::Matrix;
 
 /// Integer width of a quantized tensor, matching the EXION datapaths.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum IntWidth {
     /// 12-bit signed (SDUE / EPRE MMUL operands).
     Int12,
@@ -43,7 +41,7 @@ impl IntWidth {
 }
 
 /// Per-tensor symmetric quantization parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QuantParams {
     /// Real value represented by one integer step.
     pub scale: f32,
@@ -95,7 +93,7 @@ impl QuantParams {
 /// let back = q.dequantize();
 /// assert!((back[(0, 0)] - 1.0).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct QuantMatrix {
     rows: usize,
     cols: usize,

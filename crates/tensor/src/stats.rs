@@ -5,7 +5,9 @@
 //! reproduction relies on the relative metrics: PSNR/MSE/cosine similarity
 //! against the vanilla (unapproximated) pipeline output, plus a Fréchet
 //! distance between Gaussian fits of random-projection features — the same
-//! quantity FID measures, minus the Inception embedding (see DESIGN.md §1).
+//! quantity FID measures, minus the Inception embedding. These compare an
+//! optimized run with an unoptimized run of the same seeded model, which is
+//! what the paper's "PSNR w/ Vanilla" column does too.
 
 use crate::rng::seeded_normal;
 use crate::{ops, Matrix};

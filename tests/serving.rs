@@ -100,8 +100,8 @@ fn identical_seeds_identical_reports() {
 
 #[test]
 fn registry_and_struct_configs_are_equivalent() {
-    // The serde-able name path and the concrete-type path must configure
-    // the identical control plane.
+    // Choosing the policy and admission controller by name and passing the
+    // concrete types must configure the identical control plane.
     let trace = motion_trace(45.0, 321);
     let by_name = ServeSimulator::new(
         ServeConfig::builder(HwConfig::exion4())
