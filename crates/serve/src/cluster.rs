@@ -1177,7 +1177,7 @@ impl<'a> ClusterRun<'a> {
         if let Some(at_ms) = self.stranded_at {
             let stranded: Vec<u64> = self.queue.iter().map(|r| r.id).collect();
             for id in stranded {
-                if let Some(r) = self.queue.remove_by_id(id, &self.ctx) {
+                if let Some(r) = self.queue.remove_by_id(id) {
                     self.depth.stamp(at_ms, -1);
                     self.lose(&r, at_ms);
                 }
@@ -1441,7 +1441,7 @@ impl<'a> ClusterRun<'a> {
             }
             let mut r = self
                 .queue
-                .remove_by_id(id, &self.ctx)
+                .remove_by_id(id)
                 .expect("listed from the queue above");
             match r.checkpointed_steps {
                 Some(step) => {
@@ -2412,6 +2412,23 @@ mod tests {
             bad_forecast,
             Err(ConfigError::InvalidPlanner { .. })
         ));
+        // Re-planning knobs reach the check as given: a NaN, zero or
+        // negative knob is refused, not rewritten into range.
+        for (epoch_ms, hysteresis) in [
+            (f64::NAN, 0.35),
+            (0.0, 0.35),
+            (1_000.0, f64::NAN),
+            (1_000.0, -0.1),
+        ] {
+            let planner = PlannerConfig::new(2).with_replanning(epoch_ms, hysteresis);
+            let built = ServeConfig::builder(hw)
+                .auto_placement(PlacementPlanner::new(planner), 100.0)
+                .try_build();
+            assert!(
+                matches!(built, Err(ConfigError::InvalidPlanner { .. })),
+                "epoch {epoch_ms} ms, hysteresis {hysteresis} accepted: {built:?}"
+            );
+        }
         // Every error renders a descriptive message.
         for err in [
             ConfigError::EmptyPlacement,

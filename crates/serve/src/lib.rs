@@ -50,11 +50,11 @@
 //!   the reduced fleet out of cadence, and recovery rejoins capacity
 //!   after a repair delay — all summarized in a [`FaultReport`];
 //! * [`policy`] — the scheduling half of the control plane: a
-//!   [`SchedulerPolicy`] trait object decides admission ordering,
-//!   batch-join gating, and preemption against a read-only
-//!   [`SchedSnapshot`]; FCFS, SLO-aware EDF, *preemptive* EDF, and the
-//!   sparsity-aware phase-aligning policy ship as named implementations
-//!   ([`policy::by_name`]);
+//!   [`SchedulerPolicy`] trait object keys each request's admission
+//!   order and, against a read-only [`SchedSnapshot`], gates batch joins
+//!   and bounds preemption; FCFS, SLO-aware EDF, *preemptive* EDF, and
+//!   the sparsity-aware phase-aligning policy ship as named
+//!   implementations ([`policy::by_name`]);
 //! * [`cost`] — memoized per-iteration pricing through
 //!   [`exion_sim::simulate_iteration`]: each iteration is priced by the
 //!   *fraction* of the model's weight working set GSC-resident (partial
@@ -148,9 +148,7 @@ pub use metrics::{
 };
 pub use placement::{Gang, Placement};
 pub use planner::{gsc_feasible, CandidateScore, PlacementPlanner, PlanOutcome, PlannerConfig};
-pub use policy::{
-    Edf, Fcfs, PolicyKey, PreemptiveEdf, SchedSnapshot, SchedulerPolicy, SparsityAware,
-};
+pub use policy::{Edf, Fcfs, PreemptiveEdf, SchedSnapshot, SchedulerPolicy, SparsityAware};
 pub use queue::{BacklogIndex, ReadyQueue};
 pub use request::{Completion, LostRecord, Request, RequestId, ShedRecord};
 pub use scheduler::{AdmitOutcome, Instance, ModelInfo, SchedContext};

@@ -115,10 +115,13 @@ impl PlannerConfig {
         self
     }
 
-    /// Replaces the online re-planning knobs.
+    /// Replaces the online re-planning knobs, stored as given:
+    /// [`crate::ServeConfigBuilder::try_build`] rejects a non-finite or
+    /// non-positive `epoch_ms` and a non-finite or negative `hysteresis`
+    /// with [`crate::cluster::ConfigError::InvalidPlanner`].
     pub fn with_replanning(mut self, epoch_ms: f64, hysteresis: f64) -> Self {
-        self.epoch_ms = epoch_ms.max(1.0);
-        self.hysteresis = hysteresis.max(0.0);
+        self.epoch_ms = epoch_ms;
+        self.hysteresis = hysteresis;
         self
     }
 }

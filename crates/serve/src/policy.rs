@@ -3,15 +3,16 @@
 //! Scheduling behavior is no longer a closed enum with hard-coded branches
 //! in the batcher: a [`SchedulerPolicy`] is a trait object that answers the
 //! three questions continuous batching asks at every iteration boundary —
-//! *in what order do queued requests admit* ([`SchedulerPolicy::admission_key`]),
+//! *in what order do queued requests admit* ([`SchedulerPolicy::ordering_key`]),
 //! *may new members join the running batch right now*
-//! ([`SchedulerPolicy::admits_join`]), and *should the running batch yield
-//! to a queued request* ([`SchedulerPolicy::preempt_for`] /
-//! [`SchedulerPolicy::swap_for`]) — against a read-only [`SchedSnapshot`]
-//! of the unit's state. The four historical policies (FCFS, EDF,
-//! preemptive EDF, sparsity-aware) are ordinary implementations that
-//! [`by_name`] resolves from their names, and downstream crates plug in
-//! their own implementations as plain types
+//! ([`SchedulerPolicy::admits_join`]), and *which queued requests may make
+//! the running batch yield* ([`SchedulerPolicy::preempt_key_bound`] /
+//! [`SchedulerPolicy::swap_key_bound`]). The key is a function of the
+//! request alone; the gate and the bounds read a read-only
+//! [`SchedSnapshot`] of the unit's state. The four historical policies
+//! (FCFS, EDF, preemptive EDF, sparsity-aware) are ordinary
+//! implementations that [`by_name`] resolves from their names, and
+//! downstream crates plug in their own implementations as plain types
 //! ([`crate::ServeConfigBuilder::policy`]) without touching the scheduler.
 
 use std::fmt;
@@ -20,11 +21,6 @@ use std::sync::Arc;
 use exion_model::config::ModelKind;
 
 use crate::request::Request;
-
-/// Admission-ordering key: smaller admits first. The second component is
-/// the request id tie-break that keeps every ordering total and
-/// deterministic.
-pub type PolicyKey = (f64, u64);
 
 /// A read-only view of one scheduling unit's state at an iteration
 /// boundary — everything a [`SchedulerPolicy`] may base a decision on.
@@ -82,26 +78,14 @@ pub trait SchedulerPolicy: fmt::Debug + Send + Sync {
     /// Registry/report name (e.g. `"edf"`).
     fn name(&self) -> &str;
 
-    /// The *stable* admission-ordering key of `r`: smaller admits first,
-    /// ties broken by the id component. This is the key the indexed
-    /// scheduler queue precomputes and buckets requests under, so it must
-    /// be a pure function of the request alone — finite, and immutable
-    /// for as long as the request sits queued (arrival time and deadline
-    /// qualify; anything depending on the unit's state does not — that
-    /// belongs in [`Self::admission_key`]'s snapshot, or in the batcher's
-    /// own migration-penalty shift). A policy whose key for a queued
-    /// request *does* change must notify the queue through
-    /// [`crate::queue::ReadyQueue::rekey`].
-    fn ordering_key(&self, r: &Request) -> PolicyKey;
-
-    /// Admission-ordering key of `r` on the unit `snap` describes. The
-    /// default delegates to [`Self::ordering_key`]; overriding it with a
-    /// snapshot-dependent key forfeits the indexed fast path's exactness,
-    /// so overrides must keep it equal to `ordering_key` for queued
-    /// ordering (the built-ins all use the default).
-    fn admission_key(&self, r: &Request, _snap: &SchedSnapshot<'_>) -> PolicyKey {
-        self.ordering_key(r)
-    }
+    /// The admission-ordering key of `r`: smaller admits first. The
+    /// indexed scheduler queue files each request under this key when it
+    /// is pushed, so the key must be a finite pure function of the request
+    /// alone that stays fixed while the request sits queued (arrival time
+    /// and deadline qualify; anything depending on the unit's state does
+    /// not). The batcher breaks ties by request id and adds the resume
+    /// migration penalty on units that do not hold a parked latent.
+    fn ordering_key(&self, r: &Request) -> f64;
 
     /// Batch-join gating: whether new members may join the running batch
     /// at this boundary. The sparsity-aware policy closes the gate
@@ -111,41 +95,19 @@ pub trait SchedulerPolicy: fmt::Debug + Send + Sync {
         true
     }
 
-    /// Whether the policy may park running requests at iteration
-    /// boundaries at all (cheap capability probe; the per-candidate
-    /// decisions are [`Self::preempt_for`] and [`Self::swap_for`]).
-    fn preemptive(&self) -> bool {
-        false
-    }
-
-    /// Preemption decision: should the running batch be parked so the
-    /// cross-model `candidate` can take the unit? The batcher only asks
-    /// for visible candidates and additionally applies its deadline-
-    /// feasibility thrash guard; the policy supplies the urgency rule.
-    fn preempt_for(&self, _candidate: &Request, _snap: &SchedSnapshot<'_>) -> bool {
-        false
-    }
-
-    /// Full-batch swap decision: should the worst running member yield its
-    /// slot to the same-model `candidate`?
-    fn swap_for(&self, _candidate: &Request, _snap: &SchedSnapshot<'_>) -> bool {
-        false
-    }
-
-    /// Optional fast-path contract for [`Self::preempt_for`]: when this
-    /// returns `Some(bound)`, the batcher assumes
-    /// `preempt_for(r, snap) == (ordering_key(r).0 < bound)` for every
-    /// queued `r`, letting it early-exit an ascending bucket scan at the
-    /// first key at or past the bound instead of probing each candidate.
-    /// Return `None` (the default) when no such threshold exists; the
-    /// batcher then falls back to per-candidate probes.
+    /// The whole preemption rule. `Some(bound)`: a visible queued request
+    /// of another model whose [`Self::ordering_key`] lies below `bound`
+    /// parks the running batch, if the batcher's deadline-feasibility
+    /// thrash guard passes it, and the most urgent such request's model
+    /// takes the unit. `None` (the default) never preempts.
     fn preempt_key_bound(&self, _snap: &SchedSnapshot<'_>) -> Option<f64> {
         None
     }
 
-    /// Optional fast-path contract for [`Self::swap_for`], analogous to
-    /// [`Self::preempt_key_bound`]:
-    /// `swap_for(r, snap) == (ordering_key(r).0 < bound)`.
+    /// The whole full-batch swap rule, analogous to
+    /// [`Self::preempt_key_bound`]: with `Some(bound)`, a visible feasible
+    /// same-model request keyed below `bound` displaces the worst-deadline
+    /// member of a full batch. `None` (the default) never swaps.
     fn swap_key_bound(&self, _snap: &SchedSnapshot<'_>) -> Option<f64> {
         None
     }
@@ -160,8 +122,8 @@ impl SchedulerPolicy for Fcfs {
         "fcfs"
     }
 
-    fn ordering_key(&self, r: &Request) -> PolicyKey {
-        (r.arrival_ms, r.id)
+    fn ordering_key(&self, r: &Request) -> f64 {
+        r.arrival_ms
     }
 }
 
@@ -176,8 +138,8 @@ impl SchedulerPolicy for Edf {
         "edf"
     }
 
-    fn ordering_key(&self, r: &Request) -> PolicyKey {
-        (r.deadline_ms(), r.id)
+    fn ordering_key(&self, r: &Request) -> f64 {
+        r.deadline_ms()
     }
 }
 
@@ -195,20 +157,8 @@ impl SchedulerPolicy for PreemptiveEdf {
         "preemptive-edf"
     }
 
-    fn ordering_key(&self, r: &Request) -> PolicyKey {
-        (r.deadline_ms(), r.id)
-    }
-
-    fn preemptive(&self) -> bool {
-        true
-    }
-
-    fn preempt_for(&self, candidate: &Request, snap: &SchedSnapshot<'_>) -> bool {
-        candidate.deadline_ms() < snap.earliest_running_deadline()
-    }
-
-    fn swap_for(&self, candidate: &Request, snap: &SchedSnapshot<'_>) -> bool {
-        candidate.deadline_ms() < snap.worst_running_deadline()
+    fn ordering_key(&self, r: &Request) -> f64 {
+        r.deadline_ms()
     }
 
     fn preempt_key_bound(&self, snap: &SchedSnapshot<'_>) -> Option<f64> {
@@ -232,8 +182,8 @@ impl SchedulerPolicy for SparsityAware {
         "sparsity-aware"
     }
 
-    fn ordering_key(&self, r: &Request) -> PolicyKey {
-        (r.arrival_ms, r.id)
+    fn ordering_key(&self, r: &Request) -> f64 {
+        r.arrival_ms
     }
 
     fn admits_join(&self, snap: &SchedSnapshot<'_>) -> bool {
@@ -283,12 +233,11 @@ mod tests {
     fn edf_orders_by_deadline_not_arrival() {
         let early_arrival = Request::new(0, ModelKind::Mld, 0.0, 100.0, 50);
         let urgent = Request::new(1, ModelKind::Mld, 10.0, 20.0, 50);
-        let s = snap(&[], 0);
-        assert!(Fcfs.admission_key(&early_arrival, &s) < Fcfs.admission_key(&urgent, &s));
-        assert!(Edf.admission_key(&urgent, &s) < Edf.admission_key(&early_arrival, &s));
+        assert!(Fcfs.ordering_key(&early_arrival) < Fcfs.ordering_key(&urgent));
+        assert!(Edf.ordering_key(&urgent) < Edf.ordering_key(&early_arrival));
         assert_eq!(
-            PreemptiveEdf.admission_key(&urgent, &s),
-            Edf.admission_key(&urgent, &s)
+            PreemptiveEdf.ordering_key(&urgent),
+            Edf.ordering_key(&urgent)
         );
     }
 
@@ -304,18 +253,29 @@ mod tests {
 
     #[test]
     fn only_preemptive_edf_preempts() {
-        for p in builtin_policies() {
-            assert_eq!(p.preemptive(), p.name() == "preemptive-edf", "{}", p.name());
-        }
-        let running = [Request::new(0, ModelKind::StableDiffusion, 0.0, 500.0, 50)];
-        let urgent = Request::new(1, ModelKind::Mld, 1.0, 10.0, 50);
-        let lax = Request::new(2, ModelKind::Mld, 1.0, 10_000.0, 50);
+        // Running deadlines 500 and 2 000 ms: the preempt bound is the
+        // earliest, the swap bound the worst.
+        let running = [
+            Request::new(0, ModelKind::StableDiffusion, 0.0, 500.0, 50),
+            Request::new(1, ModelKind::StableDiffusion, 0.0, 2_000.0, 50),
+        ];
         let s = snap(&running, 0);
-        assert!(PreemptiveEdf.preempt_for(&urgent, &s));
-        assert!(!PreemptiveEdf.preempt_for(&lax, &s));
-        assert!(!Edf.preempt_for(&urgent, &s));
-        assert!(PreemptiveEdf.swap_for(&urgent, &s));
-        assert!(!Fcfs.swap_for(&urgent, &s));
+        for p in builtin_policies() {
+            let name = p.name();
+            let preemptive = name == "preemptive-edf";
+            assert_eq!(p.preempt_key_bound(&s).is_some(), preemptive, "{name}");
+            assert_eq!(p.swap_key_bound(&s).is_some(), preemptive, "{name}");
+        }
+        let below = |bound: Option<f64>, r: &Request| {
+            bound.is_some_and(|b| PreemptiveEdf.ordering_key(r) < b)
+        };
+        let urgent = Request::new(2, ModelKind::Mld, 1.0, 10.0, 50);
+        let middling = Request::new(3, ModelKind::Mld, 1.0, 1_000.0, 50);
+        let lax = Request::new(4, ModelKind::Mld, 1.0, 10_000.0, 50);
+        assert!(below(PreemptiveEdf.preempt_key_bound(&s), &urgent));
+        assert!(!below(PreemptiveEdf.preempt_key_bound(&s), &middling));
+        assert!(below(PreemptiveEdf.swap_key_bound(&s), &middling));
+        assert!(!below(PreemptiveEdf.swap_key_bound(&s), &lax));
     }
 
     #[test]

@@ -25,8 +25,8 @@
 //!   linearly.
 //!
 //! Float ordering keys are mapped to order-preserving `u64` bits
-//! ([`key_bits`]), making the BTree order identical to the scheduler's
-//! historical `(f64, u64)` `partial_cmp` order for the finite keys the
+//! ([`key_bits`]), making the BTree order identical to the batcher's
+//! `(key, request id)` `partial_cmp` order for the finite keys the
 //! [`crate::policy::SchedulerPolicy::ordering_key`] contract requires.
 //! The queue also maintains a [`BacklogIndex`] — per-model Fenwick trees
 //! over queued DDIM steps in deadline order — so deadline-feasibility
@@ -67,8 +67,7 @@ pub fn key_from_bits(bits: u64) -> f64 {
 
 /// Where one queued request lives: its slot in the flat entry vector and
 /// the cached ordering-key bits its bucket entry is filed under (cached so
-/// removal — and the [`ReadyQueue::rekey`] hook — never depends on the
-/// policy still returning the old key).
+/// removal never calls back into the policy).
 #[derive(Debug, Clone, Copy)]
 struct SlotInfo {
     idx: usize,
@@ -148,7 +147,7 @@ impl ReadyQueue {
     /// every boundary clock that will observe the queue from now on. The
     /// cluster guarantees this by releasing arrivals in event-time order.
     pub fn push(&mut self, r: Request, ctx: &SchedContext) {
-        let key = key_bits(ctx.policy.ordering_key(&r).0);
+        let key = key_bits(ctx.policy.ordering_key(&r));
         let idx = self.entries.len();
         let prev = self.slot_of.insert(r.id, SlotInfo { idx, key });
         debug_assert!(prev.is_none(), "request {} enqueued twice", r.id);
@@ -163,7 +162,7 @@ impl ReadyQueue {
 
     /// Removes and returns the request in flat slot `slot`, preserving the
     /// historical `swap_remove` slot evolution.
-    pub(crate) fn take_slot(&mut self, slot: usize, _ctx: &SchedContext) -> Request {
+    pub(crate) fn take_slot(&mut self, slot: usize) -> Request {
         let r = self.entries.swap_remove(slot);
         let info = self
             .slot_of
@@ -196,35 +195,9 @@ impl ReadyQueue {
     }
 
     /// Removes and returns the queued request `id` (test convenience).
-    pub fn remove_by_id(&mut self, id: u64, ctx: &SchedContext) -> Option<Request> {
+    pub fn remove_by_id(&mut self, id: u64) -> Option<Request> {
         let slot = self.slot_of.get(&id)?.idx;
-        Some(self.take_slot(slot, ctx))
-    }
-
-    /// The "key changed" hook of the
-    /// [`crate::policy::SchedulerPolicy::ordering_key`] contract: re-files
-    /// `id` under its current ordering key after an in-place mutation
-    /// changed it. The built-in policies key on arrival/deadline, which
-    /// never change while queued, so the cluster never needs this — it
-    /// exists for custom policies with mutable keys.
-    pub fn rekey(&mut self, id: u64, ctx: &SchedContext) {
-        let Some(info) = self.slot_of.get(&id).copied() else {
-            return;
-        };
-        let r = &self.entries[info.idx];
-        let key = key_bits(ctx.policy.ordering_key(r).0);
-        if key == info.key {
-            return;
-        }
-        if r.steps_done == 0 {
-            let bucket = self
-                .fresh
-                .get_mut(&r.model)
-                .expect("fresh entries have a bucket");
-            bucket.remove(&(info.key, id));
-            bucket.insert((key, id));
-        }
-        self.slot_of.get_mut(&id).expect("checked above").key = key;
+        Some(self.take_slot(slot))
     }
 
     /// Clears the resume-affinity hint of queued request `id` (its parked
@@ -292,7 +265,7 @@ impl ReadyQueue {
             let info = self.slot_of[&r.id];
             assert_eq!(info.idx, idx);
             if r.steps_done == 0 {
-                assert_eq!(info.key, key_bits(ctx.policy.ordering_key(r).0));
+                assert_eq!(info.key, key_bits(ctx.policy.ordering_key(r)));
                 assert!(self.fresh[&r.model].contains(&(info.key, r.id)));
             } else {
                 assert!(self.deferred.contains(&r.id));
@@ -530,12 +503,12 @@ mod tests {
             .collect();
         assert_eq!(mld, vec![0, 2]);
         // swap_remove semantics on the flat slice.
-        let r = q.take_slot(0, &ctx);
+        let r = q.take_slot(0);
         assert_eq!(r.id, 0);
         assert_eq!(q[0].id, 5, "last entry swapped into the hole");
         assert_eq!(q.slot(5), 0);
         q.debug_check(&ctx);
-        let r = q.remove_by_id(4, &ctx).expect("queued");
+        let r = q.remove_by_id(4).expect("queued");
         assert_eq!(r.id, 4);
         assert_eq!(q.deferred_ids(), &[5]);
         q.debug_check(&ctx);
@@ -558,7 +531,7 @@ mod tests {
         }
         // Dequeue a few to exercise removals.
         for id in [0u64, 7, 20] {
-            q.remove_by_id(id, &ctx).expect("queued");
+            q.remove_by_id(id).expect("queued");
         }
         for d in [0.0, 60.0, 77.0, 1e9] {
             for kind in [ModelKind::Mld, ModelKind::Mdm] {
@@ -591,25 +564,5 @@ mod tests {
             q.backlog().queued_steps_through(ModelKind::Mdm, 1e9),
             Some(0)
         );
-    }
-
-    #[test]
-    fn rekey_refiles_under_the_new_key() {
-        let ctx = ctx();
-        let mut q = ReadyQueue::new();
-        q.push(Request::new(0, ModelKind::Mld, 0.0, 100.0, 12), &ctx);
-        q.push(Request::new(1, ModelKind::Mld, 0.0, 200.0, 12), &ctx);
-        let first = |q: &ReadyQueue| {
-            q.fresh_bucket(ModelKind::Mld)
-                .and_then(|b| b.iter().next().map(|&(_, id)| id))
-        };
-        assert_eq!(first(&q), Some(0));
-        // Mutate the key in place (tests only — slo_ms moves the EDF
-        // deadline), then notify the queue.
-        let slot = q.slot(0);
-        q.entries[slot].slo_ms = 500.0;
-        q.rekey(0, &ctx);
-        assert_eq!(first(&q), Some(1));
-        q.debug_check(&ctx);
     }
 }

@@ -9,11 +9,13 @@
 //! penalty) and they re-enter the queue with their step count intact.
 //!
 //! Scheduling *decisions* are delegated to a pluggable
-//! [`SchedulerPolicy`]: the batcher builds a read-only [`SchedSnapshot`] of
-//! its state and asks the policy for admission ordering, batch-join gating,
-//! and preemption/swap verdicts; the batcher itself owns the *mechanism* —
-//! residency pricing, migration penalties, the deadline-feasibility thrash
-//! guard, and latent parking.
+//! [`SchedulerPolicy`]: the batcher files each queued request under the
+//! policy's ordering key, and asks it, against a read-only
+//! [`SchedSnapshot`] of its state, for batch-join gating and the key
+//! bounds below which a queued request preempts or swaps. The batcher
+//! itself owns the *mechanism* — the request-id tie-break, residency
+//! pricing, migration penalties, the deadline-feasibility thrash guard,
+//! and latent parking.
 //!
 //! An instance executes one model at a time; how much of that model's
 //! weight working set is GSC-resident is tracked byte-accurately by a
@@ -246,6 +248,15 @@ impl AdmitOutcome {
     /// metrics snapshot never re-scans every unit.
     pub fn inflight_delta(&self) -> i64 {
         self.admitted.len() as i64 - self.parked.len() as i64
+    }
+}
+
+/// Folds `model`'s candidate `key` into the running argmin under the strict
+/// `(key, request id)` order, so the winner never depends on the order
+/// buckets or models are visited in.
+fn fold_min(best: &mut Option<((f64, u64), ModelKind)>, key: (f64, u64), model: ModelKind) {
+    if best.is_none_or(|(k, _)| key < k) {
+        *best = Some((key, model));
     }
 }
 
@@ -702,15 +713,16 @@ impl Instance {
         }
     }
 
-    /// The admission-ordering key of `r` on *this* instance: the policy key
-    /// shifted by the latent-migration penalty when the request's parked
-    /// latent lives on another unit's GSC (resume affinity — the parking
-    /// unit sees the unshifted key and wins ties).
-    fn local_key(&self, r: &Request, ctx: &SchedContext, snap: &SchedSnapshot<'_>) -> (f64, u64) {
-        let (primary, id) = ctx.policy.admission_key(r, snap);
+    /// The admission-ordering key of `r` on *this* instance, tie-broken by
+    /// request id: the policy key shifted by the latent-migration penalty
+    /// when the request's parked latent lives on another unit's GSC
+    /// (resume affinity — the parking unit sees the unshifted key and wins
+    /// ties).
+    fn local_key(&self, r: &Request, ctx: &SchedContext) -> (f64, u64) {
         (
-            primary + ctx.migration_penalty_ms(r, self.unit_first, self.unit_len),
-            id,
+            ctx.policy.ordering_key(r)
+                + ctx.migration_penalty_ms(r, self.unit_first, self.unit_len),
+            r.id,
         )
     }
 
@@ -750,12 +762,7 @@ impl Instance {
     /// (fresh requests are visible and penalty-free by construction), and
     /// the small deferred list folds its per-unit local keys on top — so
     /// the seed scan is O(models + deferred), not O(queue).
-    fn seed_model(
-        &self,
-        queue: &mut ReadyQueue,
-        ctx: &SchedContext,
-        snap: &SchedSnapshot<'_>,
-    ) -> ModelKind {
+    fn seed_model(&self, queue: &mut ReadyQueue, ctx: &SchedContext) -> ModelKind {
         let mut mins = std::mem::take(&mut queue.scratch_seed);
         mins.clear();
         for (model, bucket) in queue.fresh_buckets() {
@@ -768,7 +775,7 @@ impl Instance {
             if r.ready_ms > self.now_ms {
                 continue;
             }
-            let key = self.local_key(r, ctx, snap);
+            let key = self.local_key(r, ctx);
             match mins.iter_mut().find(|(m, _)| *m == r.model) {
                 Some((_, k)) => {
                     if key < *k {
@@ -790,12 +797,7 @@ impl Instance {
 
     /// The reference (pre-index) seed scan over the flat queue slice —
     /// kept verbatim for [`Self::admit_reference`].
-    fn seed_model_reference(
-        &self,
-        queue: &[Request],
-        ctx: &SchedContext,
-        snap: &SchedSnapshot<'_>,
-    ) -> ModelKind {
+    fn seed_model_reference(&self, queue: &[Request], ctx: &SchedContext) -> ModelKind {
         let mut best: Option<(f64, (f64, u64), ModelKind)> = None;
         let mut seen: Vec<ModelKind> = Vec::new();
         for r in queue.iter().filter(|r| r.ready_ms <= self.now_ms) {
@@ -806,7 +808,7 @@ impl Instance {
             let key = queue
                 .iter()
                 .filter(|q| q.model == r.model && q.ready_ms <= self.now_ms)
-                .map(|q| self.local_key(q, ctx, snap))
+                .map(|q| self.local_key(q, ctx))
                 .min_by(|a, b| a.partial_cmp(b).expect("policy keys are finite"))
                 .expect("model taken from a visible queue member");
             self.fold_seed_candidate(r.model, key, ctx, &mut best);
@@ -815,17 +817,18 @@ impl Instance {
     }
 
     /// Admits queued requests into free slots at this iteration boundary,
-    /// preempting running ones first when the policy demands it.
+    /// preempting running ones first when the policy's bounds allow it.
     ///
     /// An idle instance seeds a batch of the residency-adjusted most urgent
     /// queued model; a busy one tops up with its active model, gated by the
-    /// policy's [`SchedulerPolicy::admits_join`] rule. A queued cross-model
-    /// request the policy's [`SchedulerPolicy::preempt_for`] approves (and
-    /// the thrash guard deems feasible) parks the whole batch; a same-model
-    /// request approved by [`SchedulerPolicy::swap_for`] displaces the
-    /// worst member of a full batch. `peers` are the other members of this
-    /// unit (empty for replicas) — parked latents land on whichever member
-    /// is least GSC-pressured.
+    /// policy's [`SchedulerPolicy::admits_join`] rule. A visible queued
+    /// cross-model request keyed below the policy's
+    /// [`SchedulerPolicy::preempt_key_bound`] (and deemed feasible by the
+    /// thrash guard) parks the whole batch; a same-model request keyed
+    /// below [`SchedulerPolicy::swap_key_bound`] displaces the worst member
+    /// of a full batch. `peers` are the other members of this unit (empty
+    /// for replicas) — parked latents land on whichever member is least
+    /// GSC-pressured.
     pub fn admit(
         &mut self,
         queue: &mut ReadyQueue,
@@ -848,14 +851,12 @@ impl Instance {
     ///   model's admission minimum (visible and penalty-free by the queue
     ///   contract), merged with the small deferred list's per-unit local
     ///   keys: O(models + deferred);
-    /// * *preempt / swap probes* — consulted only for
-    ///   [`SchedulerPolicy::preemptive`] policies; ascending bucket scans
-    ///   early-exit at the policy's [`SchedulerPolicy::preempt_key_bound`]
-    ///   / [`SchedulerPolicy::swap_key_bound`] when it exposes one, and
-    ///   stop at the first feasible candidate either way (ascending keys
-    ///   make it the minimum). Snapshot-dependent `preempt_for`/`swap_for`
-    ///   overrides on *non*-preemptive policies are not consulted — a
-    ///   policy that parks must say so through `preemptive()`;
+    /// * *preempt / swap* — one ascending scan per bucket that stops at
+    ///   the policy's [`SchedulerPolicy::preempt_key_bound`] /
+    ///   [`SchedulerPolicy::swap_key_bound`] or at the first feasible
+    ///   candidate (ascending keys make it the bucket's minimum), plus the
+    ///   deferred list's members keyed below the same bound. A `None`
+    ///   bound skips the scan: the policy never parks;
     /// * *batch join* — the first `free` bucket entries merged with the
     ///   visible same-model deferred keys: O(free + deferred +
     ///   log queue) per admitted request.
@@ -892,36 +893,26 @@ impl Instance {
         // The policy's most urgent visible queued request (keys shifted by
         // the resume-affinity migration penalty on foreign units).
         let urgent_model = {
-            let snap = self.snapshot(ctx);
-            let mut best: Option<(f64, u64, ModelKind)> = None;
+            let mut best = None;
             for (model, bucket) in queue.fresh_buckets() {
                 if let Some(&(kb, id)) = bucket.iter().next() {
-                    let key = (key_from_bits(kb), id);
-                    if best.is_none_or(|(a, b, _)| key < (a, b)) {
-                        best = Some((key.0, key.1, model));
-                    }
+                    fold_min(&mut best, (key_from_bits(kb), id), model);
                 }
             }
             for &id in queue.deferred_ids() {
                 let r = &queue.as_slice()[queue.slot(id)];
                 if r.ready_ms <= now {
-                    let key = self.local_key(r, ctx, &snap);
-                    if best.is_none_or(|(a, b, _)| key < (a, b)) {
-                        best = Some((key.0, key.1, r.model));
-                    }
+                    fold_min(&mut best, self.local_key(r, ctx), r.model);
                 }
             }
             match best {
-                Some((_, _, model)) => model,
+                Some((_, model)) => model,
                 None => return,
             }
         };
 
         if self.running.is_empty() {
-            let model = {
-                let snap = self.snapshot(ctx);
-                self.seed_model(queue, ctx, &snap)
-            };
+            let model = self.seed_model(queue, ctx);
             self.set_active(model);
         } else {
             let model = self
@@ -929,60 +920,43 @@ impl Instance {
                 .expect("a non-empty batch always has an active model");
             if urgent_model != model {
                 // The preemption trigger is the most urgent *feasible*
-                // cross-model request the policy approves a park for: a
+                // cross-model request keyed below the policy's bound: a
                 // doomed request cannot justify a park (thrash guard — past
                 // saturation every deadline is blown and parks stop paying
                 // for themselves), but neither may it shadow a feasible
                 // request queued behind it.
-                let trigger = if !ctx.policy.preemptive() {
-                    None
-                } else {
-                    let snap = self.snapshot(ctx);
-                    let bound = ctx.policy.preempt_key_bound(&snap);
-                    let mut best: Option<(f64, u64, ModelKind)> = None;
+                let bound = ctx.policy.preempt_key_bound(&self.snapshot(ctx));
+                let trigger = bound.and_then(|bound| {
+                    let mut best = None;
                     for (bucket_model, bucket) in queue.fresh_buckets() {
                         if bucket_model == model {
                             continue;
                         }
-                        for &(kb, id) in bucket.iter() {
-                            let k0 = key_from_bits(kb);
-                            if let Some(b) = bound {
-                                // Keys ascend: past the bound nothing in
-                                // this bucket passes preempt_for anymore.
-                                if k0 >= b {
-                                    break;
-                                }
-                            }
-                            let r = &queue.as_slice()[queue.slot(id)];
-                            if bound.is_none() && !ctx.policy.preempt_for(r, &snap) {
-                                continue;
-                            }
-                            if !ctx.deadline_feasible(r, now) {
-                                continue;
-                            }
-                            // First approved feasible entry in ascending
-                            // key order is this bucket's minimum.
-                            if best.is_none_or(|(a, b2, _)| (k0, id) < (a, b2)) {
-                                best = Some((k0, id, bucket_model));
-                            }
-                            break;
+                        // Keys ascend: the first feasible entry below the
+                        // bound is this bucket's minimum.
+                        let first = bucket
+                            .iter()
+                            .map(|&(kb, id)| (key_from_bits(kb), id))
+                            .take_while(|&(k, _)| k < bound)
+                            .find(|&(_, id)| {
+                                ctx.deadline_feasible(&queue.as_slice()[queue.slot(id)], now)
+                            });
+                        if let Some(key) = first {
+                            fold_min(&mut best, key, bucket_model);
                         }
                     }
                     for &id in queue.deferred_ids() {
                         let r = &queue.as_slice()[queue.slot(id)];
                         if r.model != model
                             && r.ready_ms <= now
-                            && ctx.policy.preempt_for(r, &snap)
+                            && ctx.policy.ordering_key(r) < bound
                             && ctx.deadline_feasible(r, now)
                         {
-                            let key = self.local_key(r, ctx, &snap);
-                            if best.is_none_or(|(a, b2, _)| key < (a, b2)) {
-                                best = Some((key.0, key.1, r.model));
-                            }
+                            fold_min(&mut best, self.local_key(r, ctx), r.model);
                         }
                     }
-                    best.map(|(_, _, m)| m)
-                };
+                    best.map(|(_, m)| m)
+                });
                 if let Some(switch_to) = trigger {
                     // Iteration-boundary preemption: park the whole batch
                     // and switch to the urgent tenant immediately instead
@@ -1004,45 +978,24 @@ impl Instance {
             } else {
                 if self.running.len() >= ctx.max_batch {
                     // Same-model swap: a full batch yields its worst member
-                    // to a strictly more urgent feasible request — when the
-                    // policy approves the swap.
-                    let swap = ctx.policy.preemptive() && {
-                        let snap = self.snapshot(ctx);
-                        let bound = ctx.policy.swap_key_bound(&snap);
-                        let mut found = false;
-                        if let Some(bucket) = queue.fresh_bucket(model) {
-                            for &(kb, id) in bucket.iter() {
-                                let k0 = key_from_bits(kb);
-                                if let Some(b) = bound {
-                                    if k0 >= b {
-                                        break;
-                                    }
-                                }
-                                let r = &queue.as_slice()[queue.slot(id)];
-                                if bound.is_none() && !ctx.policy.swap_for(r, &snap) {
-                                    continue;
-                                }
-                                if ctx.deadline_feasible(r, now) {
-                                    found = true;
-                                    break;
-                                }
-                            }
-                        }
-                        if !found {
-                            for &id in queue.deferred_ids() {
-                                let r = &queue.as_slice()[queue.slot(id)];
-                                if r.model == model
-                                    && r.ready_ms <= now
-                                    && ctx.policy.swap_for(r, &snap)
-                                    && ctx.deadline_feasible(r, now)
-                                {
-                                    found = true;
-                                    break;
-                                }
-                            }
-                        }
-                        found
-                    };
+                    // to a feasible request keyed below the policy's bound.
+                    let bound = ctx.policy.swap_key_bound(&self.snapshot(ctx));
+                    let swap = bound.is_some_and(|bound| {
+                        queue.fresh_bucket(model).is_some_and(|bucket| {
+                            bucket
+                                .iter()
+                                .take_while(|&&(kb, _)| key_from_bits(kb) < bound)
+                                .any(|&(_, id)| {
+                                    ctx.deadline_feasible(&queue.as_slice()[queue.slot(id)], now)
+                                })
+                        }) || queue.deferred_ids().iter().any(|&id| {
+                            let r = &queue.as_slice()[queue.slot(id)];
+                            r.model == model
+                                && r.ready_ms <= now
+                                && ctx.policy.ordering_key(r) < bound
+                                && ctx.deadline_feasible(r, now)
+                        })
+                    });
                     if swap {
                         // `running` is id-sorted by construction, matching
                         // the historical post-admit sort order, so this
@@ -1061,8 +1014,7 @@ impl Instance {
                         return;
                     }
                 }
-                let snap = self.snapshot(ctx);
-                if !ctx.policy.admits_join(&snap) {
+                if !ctx.policy.admits_join(&self.snapshot(ctx)) {
                     return;
                 }
             }
@@ -1076,22 +1028,18 @@ impl Instance {
         let mut slots = std::mem::take(&mut queue.scratch_slots);
         cand.clear();
         slots.clear();
-        {
-            let snap = self.snapshot(ctx);
-            // Only the first `free` bucket entries can win slots (the
-            // bucket is already in admission order); the deferred list
-            // contributes its visible same-model members at their
-            // penalty-shifted local keys.
-            if let Some(bucket) = queue.fresh_bucket(model) {
-                for &(kb, id) in bucket.iter().take(free) {
-                    cand.push((key_from_bits(kb), id));
-                }
+        // Only the first `free` bucket entries can win slots (the bucket is
+        // already in admission order); the deferred list contributes its
+        // visible same-model members at their penalty-shifted local keys.
+        if let Some(bucket) = queue.fresh_bucket(model) {
+            for &(kb, id) in bucket.iter().take(free) {
+                cand.push((key_from_bits(kb), id));
             }
-            for &id in queue.deferred_ids() {
-                let r = &queue.as_slice()[queue.slot(id)];
-                if r.model == model && r.ready_ms <= now {
-                    cand.push(self.local_key(r, ctx, &snap));
-                }
+        }
+        for &id in queue.deferred_ids() {
+            let r = &queue.as_slice()[queue.slot(id)];
+            if r.model == model && r.ready_ms <= now {
+                cand.push(self.local_key(r, ctx));
             }
         }
         cand.sort_by(|a, b| a.partial_cmp(b).expect("policy keys are finite"));
@@ -1102,7 +1050,7 @@ impl Instance {
         // and the admitted stamps byte-identical.
         slots.sort_unstable_by(|a, b| b.cmp(a));
         for &slot in slots.iter() {
-            let mut r = queue.take_slot(slot, ctx);
+            let mut r = queue.take_slot(slot);
             if r.steps_done > 0 {
                 self.resume(&mut r, ctx, peers);
                 outcome.resumed.push((r.id, self.now_ms));
@@ -1141,11 +1089,10 @@ impl Instance {
         let now = self.now_ms;
         let visible = |r: &Request| r.ready_ms <= now;
         let urgent_model = {
-            let snap = self.snapshot(ctx);
             let q = queue.as_slice();
             let Some(urgent_idx) = (0..q.len()).filter(|&i| visible(&q[i])).min_by(|&a, &b| {
-                self.local_key(&q[a], ctx, &snap)
-                    .partial_cmp(&self.local_key(&q[b], ctx, &snap))
+                self.local_key(&q[a], ctx)
+                    .partial_cmp(&self.local_key(&q[b], ctx))
                     .expect("policy keys are finite")
             }) else {
                 return outcome;
@@ -1154,31 +1101,30 @@ impl Instance {
         };
 
         if self.running.is_empty() {
-            let snap = self.snapshot(ctx);
-            let model = self.seed_model_reference(queue.as_slice(), ctx, &snap);
+            let model = self.seed_model_reference(queue.as_slice(), ctx);
             self.set_active(model);
         } else {
             let model = self
                 .active_model
                 .expect("a non-empty batch always has an active model");
             if urgent_model != model {
-                let trigger = {
-                    let snap = self.snapshot(ctx);
+                let bound = ctx.policy.preempt_key_bound(&self.snapshot(ctx));
+                let trigger = bound.and_then(|bound| {
                     let q = queue.as_slice();
                     (0..q.len())
                         .filter(|&i| {
                             let r = &q[i];
                             r.model != model
                                 && visible(r)
-                                && ctx.policy.preempt_for(r, &snap)
+                                && ctx.policy.ordering_key(r) < bound
                                 && ctx.deadline_feasible(r, now)
                         })
                         .min_by(|&a, &b| {
-                            self.local_key(&q[a], ctx, &snap)
-                                .partial_cmp(&self.local_key(&q[b], ctx, &snap))
+                            self.local_key(&q[a], ctx)
+                                .partial_cmp(&self.local_key(&q[b], ctx))
                                 .expect("policy keys are finite")
                         })
-                };
+                });
                 if let Some(t) = trigger {
                     let switch_to = queue.as_slice()[t].model;
                     self.gsc.set_pinned(self.weight_obj(model), false);
@@ -1191,15 +1137,15 @@ impl Instance {
                 }
             } else {
                 if self.running.len() >= ctx.max_batch {
-                    let swap = {
-                        let snap = self.snapshot(ctx);
+                    let bound = ctx.policy.swap_key_bound(&self.snapshot(ctx));
+                    let swap = bound.is_some_and(|bound| {
                         queue.iter().any(|r| {
                             r.model == model
                                 && visible(r)
-                                && ctx.policy.swap_for(r, &snap)
+                                && ctx.policy.ordering_key(r) < bound
                                 && ctx.deadline_feasible(r, now)
                         })
-                    };
+                    });
                     if swap {
                         let worst = (0..self.running.len())
                             .max_by(|&a, &b| {
@@ -1214,8 +1160,7 @@ impl Instance {
                         return outcome;
                     }
                 }
-                let snap = self.snapshot(ctx);
-                if !ctx.policy.admits_join(&snap) {
+                if !ctx.policy.admits_join(&self.snapshot(ctx)) {
                     return outcome;
                 }
             }
@@ -1226,14 +1171,13 @@ impl Instance {
             .expect("seeding or the running batch set the active model above");
         let free = ctx.max_batch.saturating_sub(self.running.len());
         let mut candidates: Vec<usize> = {
-            let snap = self.snapshot(ctx);
             let q = queue.as_slice();
             let mut c: Vec<usize> = (0..q.len())
                 .filter(|&i| q[i].model == model && visible(&q[i]))
                 .collect();
             c.sort_by(|&a, &b| {
-                self.local_key(&q[a], ctx, &snap)
-                    .partial_cmp(&self.local_key(&q[b], ctx, &snap))
+                self.local_key(&q[a], ctx)
+                    .partial_cmp(&self.local_key(&q[b], ctx))
                     .expect("policy keys are finite")
             });
             c
@@ -1241,7 +1185,7 @@ impl Instance {
         candidates.truncate(free);
         candidates.sort_unstable_by(|a, b| b.cmp(a));
         for idx in candidates {
-            let mut r = queue.take_slot(idx, ctx);
+            let mut r = queue.take_slot(idx);
             if r.steps_done > 0 {
                 self.resume(&mut r, ctx, peers);
                 outcome.resumed.push((r.id, self.now_ms));

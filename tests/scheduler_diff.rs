@@ -3,15 +3,21 @@
 //! make decisions identical to the retained linear-scan reference
 //! (`Instance::admit_reference` on the leader) — same seeds, same joins,
 //! same parks, same resumes, same clocks, and byte-identical queue
-//! evolution — across all four builtin policies. Fingerprint parity of whole runs (sinks on
-//! and off) is pinned separately by `tests/event_core.rs`' goldens; this
-//! test closes the gap at the single-decision level, where a divergence
-//! is actually debuggable.
+//! evolution — across all four builtin policies and a test-local
+//! preemptive EDF over coarse deadline buckets, whose keys tie with each
+//! other and with its preempt and swap bounds. The bound is the whole
+//! preempt/swap rule, so only such ties exercise where its early exit
+//! stops. Fingerprint parity of whole runs (sinks on and off) is pinned
+//! separately by `tests/event_core.rs`' goldens; this test closes the gap
+//! at the single-decision level, where a divergence is actually
+//! debuggable.
 
 use std::sync::Arc;
 
 use exion::model::config::{ModelConfig, ModelKind};
-use exion::serve::{policy, CostModel, Gang, ReadyQueue, Request, SchedContext};
+use exion::serve::{
+    policy, CostModel, Gang, ReadyQueue, Request, SchedContext, SchedSnapshot, SchedulerPolicy,
+};
 use exion::sim::config::HwConfig;
 use exion::sim::partition::Interconnect;
 use exion::sim::perf::SimAblation;
@@ -22,7 +28,40 @@ use rand::{RngExt, SeedableRng};
 
 const KINDS: [ModelKind; 3] = [ModelKind::Mld, ModelKind::Mdm, ModelKind::StableDiffusion];
 
-fn ctx_for(policy: Arc<dyn policy::SchedulerPolicy>, max_batch: usize) -> SchedContext {
+/// Width of [`CoarsePreemptiveEdf`]'s deadline buckets (ms).
+const BUCKET_MS: f64 = 50.0;
+
+/// The 50-ms deadline bucket `deadline_ms` falls in, as its start time.
+fn bucket_of(deadline_ms: f64) -> f64 {
+    (deadline_ms / BUCKET_MS).floor() * BUCKET_MS
+}
+
+/// Preemptive EDF over 50-ms deadline buckets: requests in one bucket tie
+/// on the key, and a candidate in the bucket of the earliest (preempt) or
+/// worst (swap) running deadline ties with the bound, so it must not
+/// qualify.
+#[derive(Debug)]
+struct CoarsePreemptiveEdf;
+
+impl SchedulerPolicy for CoarsePreemptiveEdf {
+    fn name(&self) -> &str {
+        "coarse-preemptive-edf"
+    }
+
+    fn ordering_key(&self, r: &Request) -> f64 {
+        bucket_of(r.deadline_ms())
+    }
+
+    fn preempt_key_bound(&self, snap: &SchedSnapshot<'_>) -> Option<f64> {
+        Some(bucket_of(snap.earliest_running_deadline()))
+    }
+
+    fn swap_key_bound(&self, snap: &SchedSnapshot<'_>) -> Option<f64> {
+        Some(bucket_of(snap.worst_running_deadline()))
+    }
+}
+
+fn ctx_for(policy: Arc<dyn SchedulerPolicy>, max_batch: usize) -> SchedContext {
     let mut cost = CostModel::new(HwConfig::exion4(), SimAblation::All);
     SchedContext::build(
         policy,
@@ -79,7 +118,7 @@ fn sample_script(seed: u64, len: usize) -> Vec<ScriptedArrival> {
 /// Drives one (replica unit, queue) pair per scheduler through the same
 /// script and asserts bit-equality after every decision.
 fn run_differential(
-    policy: Arc<dyn policy::SchedulerPolicy>,
+    policy: Arc<dyn SchedulerPolicy>,
     max_batch: usize,
     script: &[ScriptedArrival],
 ) {
@@ -175,17 +214,18 @@ fn run_differential(
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(480))]
 
     #[test]
     fn indexed_admission_matches_the_linear_reference(
-        policy_idx in 0usize..4,
+        policy_idx in 0usize..5,
         max_batch in 1usize..6,
         script_len in 1usize..40,
         seed in 0u64..1_000_000,
     ) {
-        let policies = policy::builtin_policies();
+        let mut policies = policy::builtin_policies();
         prop_assert_eq!(policies.len(), 4, "differential covers every builtin");
+        policies.push(Arc::new(CoarsePreemptiveEdf));
         let script = sample_script(seed, script_len);
         run_differential(policies[policy_idx].clone(), max_batch, &script);
     }

@@ -16,9 +16,9 @@ use std::collections::HashSet;
 
 use exion::model::config::{ModelConfig, ModelKind};
 use exion::serve::{
-    gsc_feasible, policy, CostModel, Placement, PlacementPlanner, PlannerConfig, PolicyKey,
-    Request, SchedulerPolicy, ServeConfig, ServeReport, ServeSimulator, TraceConfig,
-    TrafficPattern, WorkloadMix,
+    gsc_feasible, policy, CostModel, Placement, PlacementPlanner, PlannerConfig, Request,
+    SchedulerPolicy, ServeConfig, ServeReport, ServeSimulator, TraceConfig, TrafficPattern,
+    WorkloadMix,
 };
 use exion::sim::config::HwConfig;
 use exion::sim::partition::{Interconnect, PartitionPlan, PartitionStrategy, Topology};
@@ -135,8 +135,8 @@ fn custom_policy_plugs_into_the_builder() {
         }
         // Stable while queued: a queued request's remaining steps never
         // change, and a parked request is re-pushed with its new count.
-        fn ordering_key(&self, r: &Request) -> PolicyKey {
-            (r.steps_left() as f64, r.id)
+        fn ordering_key(&self, r: &Request) -> f64 {
+            r.steps_left() as f64
         }
     }
 
